@@ -5,12 +5,14 @@ numbers: detection timeline, reputation separation, reward ratio, fairness.
 Usage:
     python scripts/run_default_experiment.py [--seed N] [--out DIR]
 
-With --out, the full per-round CSVs are also exported through the CLI.
+With --out, the same run is also exported as `flmech simulate` would write
+it (per-round CSVs, summary and manifest).
 """
 
 import argparse
+from pathlib import Path
 
-from flmech.cli import main as cli_main
+from flmech.cli import export_simulation
 from flmech.core import Role, SystemConfig
 from flmech.engine import run_simulation
 
@@ -44,7 +46,9 @@ def main():
     print(f"publisher stake income {s['publisher_stake_income']:.1f}")
 
     if args.out:
-        cli_main(["simulate", "--seed", str(args.seed), "--out", args.out])
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        export_simulation(result, out_dir)
 
 
 if __name__ == "__main__":

@@ -105,18 +105,25 @@ def _resolve_out(args) -> Path:
     return path
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_cfg(args.config, args.seed)
-    out_dir = _resolve_out(args)
-    result = run_simulation(cfg)
+def export_simulation(result: SimulationResult, out_dir: Path,
+                      config_path: str | None = None) -> None:
+    """Write one run's rounds.csv, metrics.csv, summary.json and manifest.json
+    into an existing directory."""
     _write_csv(out_dir / "rounds.csv", ROUNDS_COLUMNS, _rounds_rows(result))
     _write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, _metrics_rows(result))
     summary = result.summary()
     summary["first_detection_round"] = {str(k): v for k, v in summary["first_detection_round"].items()}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "simulate", cfg, args.config, [cfg.seed],
+    _write_manifest(out_dir, "simulate", replace(result.cfg, seed=result.seed), config_path,
+                    [result.seed],
                     ["rounds.csv", "metrics.csv", "summary.json"])
     print(f"simulate: wrote rounds.csv, metrics.csv, summary.json, manifest.json to {out_dir}")
+
+
+def cmd_simulate(args) -> int:
+    cfg = _load_cfg(args.config, args.seed)
+    out_dir = _resolve_out(args)
+    export_simulation(run_simulation(cfg), out_dir, args.config)
     return 0
 
 
@@ -175,6 +182,7 @@ def cmd_sweep(args) -> int:
                 "honest_total_reward": s["honest_total_reward"],
                 "malicious_total_reward": s["malicious_total_reward"],
                 "cumulative_reward_gini": s["cumulative_reward_gini"],
+                "honest_reward_gini": s["honest_reward_gini"],
             })
     _write_csv(out_dir / "sweep.csv", header, rows)
     (out_dir / "sweep_summary.json").write_text(

@@ -48,21 +48,13 @@ class Node:
     reputation: float
     initial_reputation: float
     total_reward: float = 0.0
-    violations: int = 0
     participation: int = 0
     cooldown: int = 0
-    # time-ordered (round, contribution, completion_time) / (round, reward)
-    contribution_history: list[tuple[int, float, float]] = field(default_factory=list)
-    reward_history: list[tuple[int, float]] = field(default_factory=list)
-    identity_verified: bool = True
+    # The last window+1 contributions, oldest first; once the round's
+    # contributions are collected, the last entry is the current round's.
+    # Nothing in the mechanism looks further back than that.
+    contribution_history: list[float] = field(default_factory=list)
     role: Role = Role.HONEST
-
-    def recent_contributions(self, count: int, before_round: Optional[int] = None) -> list[float]:
-        """Last `count` recorded contributions, optionally excluding rounds >= before_round."""
-        entries = self.contribution_history
-        if before_round is not None:
-            entries = [e for e in entries if e[0] < before_round]
-        return [c for (_, c, _) in entries[-count:]]
 
 
 @dataclass
@@ -124,7 +116,6 @@ class SystemConfig:
     timeout_violation_weight: float = 0.3  # omega for timeout violations (compliance)
     malicious_violation_weight: float = 1.0  # omega for detected malicious behaviour
     severe_compliance_cutoff: float = 1.0  # weighted severity at/above which proceeds drop to zero
-    identity_verified: bool = True
     contract_accounting: bool = False     # accumulate (V - R) margins in the publisher ledger
     attack_schedule: Optional[list[tuple[int, int, str]]] = None  # explicit phase table override
     seed: int = 42
@@ -303,7 +294,6 @@ class RoundRecord:
     contributions: list[float]            # indexed by node id
     completion_times: list[float]
     qualities: list[float]
-    reputation_before: list[float]
     reputation_after: list[float]
     penalties: list[float]
     rewards: list[float]
@@ -312,7 +302,6 @@ class RoundRecord:
     jain_fairness: float
     gini: float
     total_paid: float
-    committee_bonus_paid: float
 
 
 def init_population(cfg: SystemConfig, rng: RngStream) -> list[Node]:
@@ -333,7 +322,6 @@ def init_population(cfg: SystemConfig, rng: RngStream) -> list[Node]:
             stake=cfg.initial_stake,
             reputation=cfg.initial_reputation,
             initial_reputation=cfg.initial_reputation,
-            identity_verified=cfg.identity_verified,
             role=Role.MALICIOUS if i in malicious_ids else Role.HONEST,
         ))
     return nodes

@@ -27,7 +27,6 @@ class DetectionReport:
     cond3: dict[int, bool] = field(default_factory=dict)
     detected: list[int] = field(default_factory=list)
     penalties: dict[int, float] = field(default_factory=dict)
-    stake_deductions: dict[int, float] = field(default_factory=dict)
 
 
 def _mean(values: list[float]) -> float:
@@ -51,7 +50,7 @@ def detect(nodes: list[Node], cfg: SystemConfig, t: int) -> DetectionReport:
     tau = cfg.window
     report = DetectionReport(round=t)
 
-    windows = {nd.id: nd.recent_contributions(tau) for nd in nodes}
+    windows = {nd.id: nd.contribution_history[-tau:] for nd in nodes}
     current = {nd.id: windows[nd.id][-1] for nd in nodes if windows[nd.id]}
     pooled = [c for w in windows.values() for c in w]
     pop_median = _median(pooled) if pooled else 0.0
@@ -67,7 +66,7 @@ def detect(nodes: list[Node], cfg: SystemConfig, t: int) -> DetectionReport:
 
         cond1 = _mean(own) < cfg.theta_low * pop_median
         cond2 = abs(c_now - round_mean) > cfg.theta_fluct * round_std
-        prev = nd.recent_contributions(tau, before_round=t)
+        prev = nd.contribution_history[-(tau + 1):-1]  # the tau rounds before t
         jump_scale = max(_pstd(prev), cfg.eps_std)
         cond3 = abs(c_now - _mean(prev)) > cfg.theta_jump * jump_scale
 
@@ -87,8 +86,8 @@ def penalty(reputation: float, stake: float, lambda_r: float, lambda_s: float) -
 def apply_penalties(nodes: list[Node], report: DetectionReport, cfg: SystemConfig) -> float:
     """Deduct reputation and stake from every detected node.
 
-    Fills the report's penalty/stake-deduction maps and returns the total
-    stake deducted (credited to the publisher-profit ledger by the engine).
+    Fills the report's penalty map and returns the total stake deducted
+    (credited to the publisher-profit ledger by the engine).
     """
     by_id = {nd.id: nd for nd in nodes}
     total_deducted = 0.0
@@ -99,8 +98,6 @@ def apply_penalties(nodes: list[Node], report: DetectionReport, cfg: SystemConfi
         deduction = cfg.stake_penalty_factor * nd.stake
         nd.reputation = max(0.0, nd.reputation - amount)
         nd.stake = max(0.0, nd.stake - deduction)
-        nd.violations += 1
         report.penalties[node_id] = amount
-        report.stake_deductions[node_id] = deduction
         total_deducted += deduction
     return total_deducted

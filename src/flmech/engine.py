@@ -55,13 +55,15 @@ def new_world(cfg: SystemConfig, seed: int | None = None) -> WorldState:
 
 def collect_contributions(state: WorldState) -> tuple[dict[int, tuple[float, float]], list[int]]:
     """Sample every node's (contribution, completion time) for the current
-    round and append it to the node histories.
+    round and append the contribution to the node's history, which keeps
+    the last window+1 entries.
 
     With a finite submission deadline, late submissions are recorded as zero
     contributions and reported as timeout violations. On-time positive
     contributions increment the participation counter.
     """
     cfg, t = state.cfg, state.t
+    keep = cfg.window + 1
     collected: dict[int, tuple[float, float]] = {}
     timeouts: list[int] = []
     for nd in state.nodes:
@@ -71,7 +73,10 @@ def collect_contributions(state: WorldState) -> tuple[dict[int, tuple[float, flo
         if cfg.t_max is not None and tau > cfg.t_max:
             c = 0.0
             timeouts.append(nd.id)
-        nd.contribution_history.append((t, c, tau))
+        history = nd.contribution_history
+        history.append(c)
+        if len(history) > keep:
+            del history[0]
         if c > 0.0:
             nd.participation += 1
         collected[nd.id] = (c, tau)
@@ -79,11 +84,7 @@ def collect_contributions(state: WorldState) -> tuple[dict[int, tuple[float, flo
 
 
 def _snapshot_nodes(nodes: list[Node]) -> list[Node]:
-    # History entries are immutable tuples, so shallow list copies are enough.
-    return [replace(nd,
-                    contribution_history=list(nd.contribution_history),
-                    reward_history=list(nd.reward_history))
-            for nd in nodes]
+    return [replace(nd, contribution_history=list(nd.contribution_history)) for nd in nodes]
 
 
 def run_round(state: WorldState) -> RoundRecord:
@@ -120,7 +121,6 @@ def _run_round_steps(state: WorldState) -> RoundRecord:
     report = detection_mod.detect(nodes, cfg, t)
 
     # (5) penalties for detected nodes, reputation update for the rest
-    rep_before = [nd.reputation for nd in nodes]
     deducted = detection_mod.apply_penalties(nodes, report, cfg)
     state.ledger.stake_deductions += deducted
     detected_set = set(report.detected)
@@ -131,18 +131,11 @@ def _run_round_steps(state: WorldState) -> RoundRecord:
         qualities[nd.id] = q
         if nd.id in detected_set:
             continue
-        window = nd.recent_contributions(cfg.window)
-        lam = stability(window, cfg.window, cfg.default_stability)
+        lam = stability(nd.contribution_history, cfg.window, cfg.default_stability)
         nd.reputation = update_reputation(nd, q, lam, cfg, t)
 
     # (6) rewards on post-update reputations
-    breakdowns = reward_mod.allocate_rewards(nodes, selection.members, cfg, t)
-    rewards = [0.0] * n
-    bonus_paid = 0.0
-    for b in breakdowns:
-        rewards[b.node_id] = b.total
-        if b.total > 0.0:
-            bonus_paid += b.committee_bonus
+    rewards = reward_mod.allocate_rewards(nodes, selection.members, cfg, t)
     if cfg.contract_accounting:
         for nd in nodes:
             c_now, tau_now = collected[nd.id]
@@ -162,7 +155,6 @@ def _run_round_steps(state: WorldState) -> RoundRecord:
         contributions=[collected[i][0] for i in range(n)],
         completion_times=[collected[i][1] for i in range(n)],
         qualities=qualities,
-        reputation_before=rep_before,
         reputation_after=[nd.reputation for nd in nodes],
         penalties=penalties,
         rewards=rewards,
@@ -171,7 +163,6 @@ def _run_round_steps(state: WorldState) -> RoundRecord:
         jain_fairness=jain,
         gini=g,
         total_paid=math.fsum(rewards),
-        committee_bonus_paid=bonus_paid,
     )
 
 

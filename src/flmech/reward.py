@@ -8,24 +8,9 @@ this round earn nothing, bonus included.
 """
 
 import math
-from dataclasses import dataclass
 
 from .core import DomainError, Node, SystemConfig, sigmoid
-from .metrics import jain_index
-
-
-@dataclass
-class RewardBreakdown:
-    node_id: int
-    alpha: float
-    beta: float
-    effective_stake: float
-    historical_contribution: float
-    stake_term: float
-    contribution_term: float
-    fairness_scale: float
-    committee_bonus: float
-    total: float
+from .metrics import jain_index, jain_ratio
 
 
 def effective_stake(stake: float, mean_stake: float) -> float:
@@ -60,16 +45,14 @@ def committee_bonus(member_reputations: list[float], base_bonus: float, eps: flo
     committee."""
     if not member_reputations:
         return 0.0
-    k = len(member_reputations)
-    total = math.fsum(member_reputations)
-    sq = math.fsum(r * r for r in member_reputations)
-    jain = (total * total) / (k * sq + eps)
-    return base_bonus * jain * sigmoid((total / k) / 10.0)
+    mean = math.fsum(member_reputations) / len(member_reputations)
+    return base_bonus * jain_ratio(member_reputations, eps) * sigmoid(mean / 10.0)
 
 
 def allocate_rewards(nodes: list[Node], committee: list[int], cfg: SystemConfig,
-                     t: int) -> list[RewardBreakdown]:
-    """Compute every node's reward for round t and append it to the node.
+                     t: int) -> list[float]:
+    """Compute every node's reward for round t, add it to the node's total
+    and return the rewards in the order of `nodes`.
 
     Shares are normalized by the raw stake total and by the population's
     decayed contribution total; the zero-contribution override is applied
@@ -84,10 +67,9 @@ def allocate_rewards(nodes: list[Node], committee: list[int], cfg: SystemConfig,
     total_stake = math.fsum(stakes)
     mean_stake = total_stake / n
 
-    hist_values = {}
-    for nd in nodes:
-        contribs = [c for (_, c, _) in nd.contribution_history]
-        hist_values[nd.id] = historical_contribution(contribs, cfg.history_decay, cfg.window)
+    hist_values = {nd.id: historical_contribution(nd.contribution_history, cfg.history_decay,
+                                                  cfg.window)
+                   for nd in nodes}
     c_total = math.fsum(hist_values.values())
 
     members = set(committee)
@@ -106,16 +88,9 @@ def allocate_rewards(nodes: list[Node], committee: list[int], cfg: SystemConfig,
         r_cmm = bonus if nd.id in members else 0.0
         total = (stake_term + contrib_term) * fairness + r_cmm
 
-        current = nd.contribution_history[-1][1] if nd.contribution_history else None
-        if not nd.contribution_history or current == 0.0:
+        if not nd.contribution_history or nd.contribution_history[-1] == 0.0:
             total = 0.0
 
         nd.total_reward += total
-        nd.reward_history.append((t, total))
-        out.append(RewardBreakdown(
-            node_id=nd.id, alpha=alpha, beta=beta, effective_stake=s_eff,
-            historical_contribution=hist_values[nd.id], stake_term=stake_term,
-            contribution_term=contrib_term, fairness_scale=fairness,
-            committee_bonus=r_cmm, total=total,
-        ))
+        out.append(total)
     return out

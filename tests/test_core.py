@@ -49,7 +49,7 @@ def test_init_population_default_split():
     assert sum(nd.role is Role.HONEST for nd in nodes) == 85
     for nd in nodes:
         assert nd.stake == 100.0 and nd.reputation == 100.0
-        assert nd.cooldown == 0 and not nd.contribution_history and not nd.reward_history
+        assert nd.cooldown == 0 and not nd.contribution_history
 
 
 def test_init_population_no_malicious():
@@ -105,11 +105,11 @@ def test_load_config_roundtrip(tmp_path):
         "malicious_percent = 0.2\n"
         "rounds = 12\n"
         "t_max = none\n"
-        "identity_verified = true\n"
+        "contract_accounting = true\n"
         "attack_schedule = 0:5:false_high, 5:12:zero\n")
     cfg = load_config(path)
     assert cfg.n_nodes == 20 and cfg.malicious_percent == 0.2 and cfg.rounds == 12
-    assert cfg.t_max is None and cfg.identity_verified is True
+    assert cfg.t_max is None and cfg.contract_accounting is True
     assert cfg.attack_schedule == [(0, 5, "false_high"), (5, 12, "zero")]
 
 

@@ -13,7 +13,8 @@ CFG = SystemConfig()
 def node_with_history(i, contributions, role=Role.HONEST, reputation=100.0, stake=100.0):
     nd = Node(id=i, stake=stake, reputation=reputation, initial_reputation=100.0,
               role=role)
-    nd.contribution_history = [(t, float(c), 1.0) for t, c in enumerate(contributions)]
+    # the engine keeps the last window+1 contributions
+    nd.contribution_history = [float(c) for c in contributions][-(CFG.window + 1):]
     return nd
 
 
@@ -104,7 +105,6 @@ def test_apply_penalties_updates_state_and_ledger():
     deducted = apply_penalties(nodes, report, CFG)
     assert nodes[0].reputation == 200.0          # 300 - min(90+10, 150)
     assert abs(nodes[0].stake - 90.0) < 1e-12    # 10% stake slash
-    assert nodes[0].violations == 1
     assert abs(deducted - 10.0) < 1e-12
     assert report.penalties[0] == 100.0
 
@@ -113,7 +113,8 @@ def test_apply_penalties_empty_report_noop():
     nodes = [node_with_history(0, [5.0], reputation=120.0)]
     report = DetectionReport(round=1)
     assert apply_penalties(nodes, report, CFG) == 0.0
-    assert nodes[0].reputation == 120.0 and nodes[0].violations == 0
+    assert nodes[0].reputation == 120.0 and nodes[0].stake == 100.0
+    assert report.penalties == {}
 
 
 def test_penalties_never_go_negative():

@@ -77,8 +77,8 @@ def test_round_application_is_atomic(monkeypatch):
 
 
 def record_nodes(state):
-    return [(nd.id, nd.stake, nd.reputation, nd.violations, nd.participation,
-             nd.cooldown, tuple(nd.contribution_history), tuple(nd.reward_history))
+    return [(nd.id, nd.stake, nd.reputation, nd.total_reward, nd.participation,
+             nd.cooldown, tuple(nd.contribution_history))
             for nd in state.nodes]
 
 
@@ -86,25 +86,30 @@ def test_participation_monotone_and_counts_positive_contributions():
     state = new_world(FAST, seed=9)
     last = {nd.id: 0 for nd in state.nodes}
     for _ in range(FAST.rounds):
-        rec = run_round(state)
+        run_round(state)
         for nd in state.nodes:
             assert nd.participation >= last[nd.id]
             last[nd.id] = nd.participation
     for nd in state.nodes:
-        positive = sum(1 for (_, c, _) in nd.contribution_history if c > 0.0)
+        positive = sum(1 for rec in state.records if rec.contributions[nd.id] > 0.0)
         assert nd.participation == positive
 
 
-def test_round_counter_and_history_alignment():
-    state = new_world(FAST, seed=11)
-    for expected_t in range(FAST.rounds):
+def test_round_counter_and_bounded_history():
+    # node state holds the last window+1 contributions however long the run
+    cfg = dataclasses.replace(FAST, rounds=12 * FAST.window)
+    state = new_world(cfg, seed=11)
+    for expected_t in range(cfg.rounds):
         rec = run_round(state)
         assert rec.round == expected_t
-    assert state.t == FAST.rounds
-    assert len(state.records) == FAST.rounds
+        for nd in state.nodes:
+            assert len(nd.contribution_history) == min(expected_t + 1, cfg.window + 1)
+            assert nd.contribution_history[-1] == rec.contributions[nd.id]
+    assert state.t == cfg.rounds
+    assert len(state.records) == cfg.rounds
     for nd in state.nodes:
-        rounds = [r for (r, _, _) in nd.contribution_history]
-        assert rounds == sorted(rounds) and len(set(rounds)) == len(rounds)
+        assert nd.contribution_history == [rec.contributions[nd.id]
+                                           for rec in state.records[-(cfg.window + 1):]]
 
 
 def test_timeout_zeroes_contribution_and_logs():
