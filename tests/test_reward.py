@@ -109,12 +109,12 @@ def test_permutation_symmetry():
     stakes = [50.0, 100.0, 400.0]
 
     nodes = [node_with_history(i, histories[i], stake=stakes[i]) for i in range(3)]
-    base = dict(enumerate(allocate_rewards(nodes, [2], CFG, t=1)))
+    base = allocate_rewards(nodes, [2], CFG, t=1)
 
     perm = [2, 0, 1]  # new id of original node i
     nodes2 = [node_with_history(perm[i], histories[i], stake=stakes[i]) for i in range(3)]
     nodes2.sort(key=lambda nd: nd.id)
-    permuted = dict(enumerate(allocate_rewards(nodes2, [perm[2]], CFG, t=1)))
+    permuted = allocate_rewards(nodes2, [perm[2]], CFG, t=1)  # indexed by id after the sort
     for i in range(3):
         assert base[i] == pytest.approx(permuted[perm[i]], rel=1e-12)
 
