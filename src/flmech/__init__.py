@@ -5,10 +5,10 @@ from .core import (
     ConfigError, DomainError, Node, RngStream, Role, RoundRecord, SystemConfig,
     config_to_dict, init_population, load_config, sigmoid, validate_config,
 )
-from .behavior import AttackSchedule, BehaviorPattern, PatternKind, ScheduleError, default_schedule
+from .behavior import AttackSchedule, PatternKind, ScheduleError, default_schedule
 from .committee import CommitteeSelection, SampleError, select_committee, stratum_quota, update_cooldowns
 from .detection import DetectionReport, apply_penalties, detect, penalty
-from .engine import PublisherLedger, SimulationResult, WorldState, new_world, run_round, run_simulation
+from .engine import PublisherLedger, WorldState, new_world, run_round, run_simulation
 from .metrics import gini, jain_index
 from .contract import (
     ComplianceInput, ContractContext, ContractItem, ContractMenu, DegenerateContract,

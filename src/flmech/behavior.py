@@ -26,15 +26,9 @@ class PatternKind(Enum):
 
 
 @dataclass(frozen=True)
-class BehaviorPattern:
-    kind: PatternKind
-    p_high: float = 0.6  # only used by RANDOM_MIX
-
-
-@dataclass(frozen=True)
 class AttackSchedule:
     """Ordered phases (start inclusive, end exclusive, pattern) covering [0, rounds)."""
-    phases: tuple[tuple[int, int, BehaviorPattern], ...]
+    phases: tuple[tuple[int, int, PatternKind], ...]
 
     def __post_init__(self):
         prev_end = 0
@@ -47,7 +41,7 @@ class AttackSchedule:
     def rounds(self) -> int:
         return self.phases[-1][1] if self.phases else 0
 
-    def pattern_at(self, t: int) -> BehaviorPattern:
+    def pattern_at(self, t: int) -> PatternKind:
         for start, end, pattern in self.phases:
             if start <= t < end:
                 return pattern
@@ -66,12 +60,11 @@ def default_schedule(cfg: SystemConfig) -> AttackSchedule:
         raise ScheduleError(f"rounds ({rounds}) must be >= eta_switch ({eta})")
     b2 = max(eta, round(rounds * 30 / 90))
     b3 = max(b2, round(rounds * 60 / 90))
-    mix = BehaviorPattern(PatternKind.RANDOM_MIX, p_high=cfg.random_mix_p_high)
     raw = [
-        (0, eta, BehaviorPattern(PatternKind.FALSE_HIGH)),
-        (eta, b2, BehaviorPattern(PatternKind.ZERO)),
-        (b2, b3, mix),
-        (b3, rounds, BehaviorPattern(PatternKind.ZERO)),
+        (0, eta, PatternKind.FALSE_HIGH),
+        (eta, b2, PatternKind.ZERO),
+        (b2, b3, PatternKind.RANDOM_MIX),
+        (b3, rounds, PatternKind.ZERO),
     ]
     phases = tuple((s, e, p) for s, e, p in raw if e > s)
     return AttackSchedule(phases)
@@ -86,11 +79,8 @@ def schedule_from_config(cfg: SystemConfig) -> AttackSchedule:
         return AttackSchedule(())
     if cfg.attack_schedule is None:
         return default_schedule(cfg)
-    phases = []
-    for start, end, name in cfg.attack_schedule:
-        kind = PatternKind(name)
-        phases.append((start, end, BehaviorPattern(kind, p_high=cfg.random_mix_p_high)))
-    sched = AttackSchedule(tuple(phases))
+    sched = AttackSchedule(tuple((start, end, PatternKind(name))
+                                 for start, end, name in cfg.attack_schedule))
     if sched.rounds != cfg.rounds:
         raise ScheduleError(f"schedule covers [0,{sched.rounds}) but config has {cfg.rounds} rounds")
     return sched
@@ -100,17 +90,17 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return min(hi, max(lo, x))
 
 
-def sample_contribution(pattern: BehaviorPattern, cfg: SystemConfig,
+def sample_contribution(kind: PatternKind, cfg: SystemConfig,
                         rng: np.random.Generator) -> tuple[float, float]:
     """Draw one (contribution, completion_time) pair.
 
     Contributions are clamped to [c_min, c_max] after the pattern-specific
     draw; completion times are uniform on [tau_low, tau_high] regardless of
-    pattern. Draw order within the stream is fixed (value, then fluctuation
-    where applicable, then completion time) so results depend only on the
-    stream label.
+    pattern. The mixed attack draws false-high with probability
+    random_mix_p_high and zero otherwise. Draw order within the stream is
+    fixed (value, then fluctuation where applicable, then completion time)
+    so results depend only on the stream label.
     """
-    kind = pattern.kind
     if kind is PatternKind.NORMAL:
         raw = rng.normal(cfg.normal_mu, cfg.normal_sigma)
         f = rng.uniform(cfg.fluct_low, cfg.fluct_high)
@@ -120,7 +110,7 @@ def sample_contribution(pattern: BehaviorPattern, cfg: SystemConfig,
     elif kind is PatternKind.ZERO:
         c = 0.0
     elif kind is PatternKind.RANDOM_MIX:
-        if rng.random() < pattern.p_high:
+        if rng.random() < cfg.random_mix_p_high:
             c = rng.normal(cfg.false_high_mean, cfg.false_high_std)
         else:
             c = 0.0

@@ -15,16 +15,17 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .contract import SolverError, optimal_contract_closed_form, solve_constrained
-from .core import ConfigError, Role, SystemConfig, config_to_dict, load_config, validate_config
-from .engine import SimulationResult, run_simulation
-from .metrics import gini
+from .contract import DegenerateContract, SolverError, optimal_contract_closed_form, solve_constrained
+from .core import (
+    ConfigError, Role, SystemConfig, _parse_value, config_to_dict, load_config, validate_config,
+)
+from .engine import WorldState, run_simulation
+from .metrics import mean
 
 SCHEMA_VERSION = 1
 ROUNDS_COLUMNS = ["round", "node_id", "role", "contribution", "tau", "quality",
@@ -37,10 +38,6 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _mean(values: list[float]) -> float:
-    return math.fsum(values) / len(values) if values else 0.0
-
-
 def _load_cfg(config_path: str | None, seed: int | None) -> SystemConfig:
     cfg = load_config(config_path) if config_path else validate_config(SystemConfig())
     if seed is not None:
@@ -48,26 +45,26 @@ def _load_cfg(config_path: str | None, seed: int | None) -> SystemConfig:
     return cfg
 
 
-def _rounds_rows(result: SimulationResult):
-    roles = {nd.id: nd.role.value for nd in result.nodes}
-    for rec in result.records:
+def _rounds_rows(state: WorldState):
+    roles = [nd.role.value for nd in state.nodes]
+    for rec in state.records:
         committee = set(rec.committee)
         detected = set(rec.detected)
-        for i in range(len(result.nodes)):
+        for i in range(len(roles)):
             yield [rec.round, i, roles[i], rec.contributions[i], rec.completion_times[i],
                    rec.qualities[i], rec.reputation_after[i], rec.penalties[i],
                    rec.rewards[i], int(i in committee), int(i in detected)]
 
 
-def _metrics_rows(result: SimulationResult):
-    honest = [nd.id for nd in result.nodes if nd.role is Role.HONEST]
-    malicious = [nd.id for nd in result.nodes if nd.role is Role.MALICIOUS]
-    for rec in result.records:
+def _metrics_rows(state: WorldState):
+    honest = [nd.id for nd in state.nodes if nd.role is Role.HONEST]
+    malicious = [nd.id for nd in state.nodes if nd.role is Role.MALICIOUS]
+    for rec in state.records:
         yield [rec.round, rec.jain_fairness, rec.gini, len(rec.detected),
-               _mean([rec.reputation_after[i] for i in honest]),
-               _mean([rec.reputation_after[i] for i in malicious]),
-               _mean([rec.rewards[i] for i in honest]),
-               _mean([rec.rewards[i] for i in malicious])]
+               mean([rec.reputation_after[i] for i in honest]),
+               mean([rec.reputation_after[i] for i in malicious]),
+               mean([rec.rewards[i] for i in honest]),
+               mean([rec.rewards[i] for i in malicious])]
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -105,17 +102,17 @@ def _resolve_out(args) -> Path:
     return path
 
 
-def export_simulation(result: SimulationResult, out_dir: Path,
+def export_simulation(state: WorldState, out_dir: Path,
                       config_path: str | None = None) -> None:
     """Write one run's rounds.csv, metrics.csv, summary.json and manifest.json
     into an existing directory."""
-    _write_csv(out_dir / "rounds.csv", ROUNDS_COLUMNS, _rounds_rows(result))
-    _write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, _metrics_rows(result))
-    summary = result.summary()
+    _write_csv(out_dir / "rounds.csv", ROUNDS_COLUMNS, _rounds_rows(state))
+    _write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, _metrics_rows(state))
+    summary = state.summary()
     summary["first_detection_round"] = {str(k): v for k, v in summary["first_detection_round"].items()}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "simulate", replace(result.cfg, seed=result.seed), config_path,
-                    [result.seed],
+    seed = state.rng.seed
+    _write_manifest(out_dir, "simulate", replace(state.cfg, seed=seed), config_path, [seed],
                     ["rounds.csv", "metrics.csv", "summary.json"])
     print(f"simulate: wrote rounds.csv, metrics.csv, summary.json, manifest.json to {out_dir}")
 
@@ -137,14 +134,7 @@ def _parse_grid(pairs: list[str]) -> dict[str, list]:
         key = key.strip()
         if key not in valid:
             raise ConfigError(f"unknown grid key '{key}'")
-        values = []
-        for tok in rest.split(","):
-            tok = tok.strip()
-            try:
-                values.append(int(tok))
-            except ValueError:
-                values.append(float(tok))
-        grid[key] = values
+        grid[key] = [_parse_value(key, tok) for tok in rest.split(",")]
     return grid
 
 
@@ -351,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
+    except (SolverError, DegenerateContract) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,7 @@ remaining eligible nodes. Selected members enter a cooldown that keeps them
 out of the next few committees.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +20,13 @@ class SampleError(ValueError):
 
 @dataclass
 class CommitteeSelection:
-    round: int
-    strata_bounds: list[int]                 # sorted-position boundaries, len L+1
-    quotas: list[int]                        # Q_k per stratum
-    eligible: list[list[int]] = field(default_factory=list)   # node ids per stratum
-    stratum_picks: list[list[int]] = field(default_factory=list)
-    remainder_pool: list[int] = field(default_factory=list)
-    remainder_picks: list[int] = field(default_factory=list)
-    members: list[int] = field(default_factory=list)
-    undersized: bool = False
+    """Node ids picked for one round.
+
+    `members` lists the stratum picks in stratum order (highest-reputation
+    stratum first), then the picks from the remainder pool.
+    """
+    members: list[int]
+    undersized: bool
 
 
 def stratum_quota(committee_size: int, strata: int, k: int) -> int:
@@ -71,8 +69,8 @@ def weighted_sample_without_replacement(candidates: list[int], weights: list[flo
 
 
 def select_committee(nodes: list[Node], cfg: SystemConfig,
-                     rng: np.random.Generator, t: int) -> CommitteeSelection:
-    """Pick up to committee_size members for round t.
+                     rng: np.random.Generator) -> CommitteeSelection:
+    """Pick up to committee_size members from the nodes' current state.
 
     Never fails: if too few nodes are eligible the committee comes back
     smaller with undersized=True. Ties in the reputation sort break by
@@ -84,7 +82,6 @@ def select_committee(nodes: list[Node], cfg: SystemConfig,
     order = sorted(nodes, key=lambda nd: (-nd.reputation, nd.id))
     bounds = [(k * n) // L for k in range(L + 1)]
     quotas = [stratum_quota(K, L, k) for k in range(1, L + 1)]
-    sel = CommitteeSelection(round=t, strata_bounds=bounds, quotas=quotas)
 
     picked: list[int] = []
     eligible_all: list[Node] = []
@@ -92,32 +89,25 @@ def select_committee(nodes: list[Node], cfg: SystemConfig,
     for k in range(L):
         stratum = order[bounds[k]:bounds[k + 1]]
         elig = [nd for nd in stratum if nd.cooldown == 0]
-        sel.eligible.append([nd.id for nd in elig])
         eligible_all.extend(elig)
         if not elig or remaining <= 0:
-            sel.stratum_picks.append([])
             continue
         m_k = min(max(1, min(quotas[k], len(elig))), len(elig), remaining)
         weights = [nd.reputation ** cfg.gamma for nd in elig]
-        picks = weighted_sample_without_replacement([nd.id for nd in elig], weights, m_k, rng)
-        sel.stratum_picks.append(picks)
-        picked.extend(picks)
+        picked.extend(weighted_sample_without_replacement(
+            [nd.id for nd in elig], weights, m_k, rng))
         remaining -= m_k
 
     if remaining > 0:
         chosen = set(picked)
         pool = [nd for nd in eligible_all if nd.id not in chosen]
-        sel.remainder_pool = [nd.id for nd in pool]
         take = min(remaining, len(pool))
         if take > 0:
             weights = [nd.reputation ** cfg.gamma for nd in pool]
-            sel.remainder_picks = weighted_sample_without_replacement(
-                [nd.id for nd in pool], weights, take, rng)
-            picked.extend(sel.remainder_picks)
+            picked.extend(weighted_sample_without_replacement(
+                [nd.id for nd in pool], weights, take, rng))
 
-    sel.members = picked
-    sel.undersized = len(picked) < K
-    return sel
+    return CommitteeSelection(members=picked, undersized=len(picked) < K)
 
 
 def update_cooldowns(nodes: list[Node], members: list[int], cfg: SystemConfig) -> None:

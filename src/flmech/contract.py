@@ -37,6 +37,11 @@ class SolverError(RuntimeError):
     """The constrained solver failed to converge within its budget."""
 
 
+_FTOL = 1e-9                # SLSQP objective tolerance
+_MAX_ITERATIONS = 10_000    # SLSQP iteration budget
+_IR_MARGIN = 1e-9           # reward above cost, so the participant's utility stays positive
+
+
 @dataclass(frozen=True)
 class ContractItem:
     type_index: float       # theta, higher = better type
@@ -170,11 +175,17 @@ class ContractContext:
     committee_term: float = 0.0     # bonus already promised to the participant
 
 
+def _zeta_mass(cfg: SystemConfig) -> float:
+    """Decayed-history multiplier of one unit of sustained contribution:
+    the geometric sum of zeta^age over the tau+1 weighted entries."""
+    zeta = cfg.history_decay
+    return (1.0 - zeta ** (cfg.window + 1)) / (1.0 - zeta)
+
+
 def default_contract_context(cfg: SystemConfig) -> ContractContext:
     """Operating point implied by the config: every participant at the
     contribution ceiling with a full decayed history."""
-    zeta_sum = (1.0 - cfg.history_decay ** (cfg.window + 1)) / (1.0 - cfg.history_decay)
-    c_hist = cfg.c_max * zeta_sum
+    c_hist = cfg.c_max * _zeta_mass(cfg)
     return ContractContext(
         fairness=1.0,
         c_total=cfg.n_nodes * c_hist,
@@ -188,9 +199,7 @@ def reward_slope(cfg: SystemConfig, ctx: ContractContext) -> float:
     """Marginal pool payout per unit of sustained contribution: the
     contribution-weighted pool share divided by the total decayed mass, times
     the decayed-history multiplier of one unit of contribution."""
-    zeta = cfg.history_decay
-    zeta_mass = (1.0 - zeta ** (cfg.window + 1)) / (1.0 - zeta)
-    return (1.0 - cfg.stake_weight) * cfg.reward_pool * ctx.fairness * zeta_mass / ctx.c_total
+    return (1.0 - cfg.stake_weight) * cfg.reward_pool * ctx.fairness * _zeta_mass(cfg) / ctx.c_total
 
 
 @dataclass
@@ -233,6 +242,22 @@ def optimal_contribution_closed_form(cfg: SystemConfig,
     return ClosedFormContribution(clamped, unclamped, True, x)
 
 
+def _stake(cfg: SystemConfig, ctx: ContractContext, r_star: float) -> float:
+    """Uniform stake S* that balances the stake-weighted share of the pool
+    against the reward R* net of the committee and contribution terms.
+
+    Raises DegenerateContract when that net reward is not positive.
+    """
+    pool_term = (1.0 - cfg.stake_weight) * cfg.reward_pool * ctx.fairness * ctx.c_hist / ctx.c_total
+    denom = r_star - ctx.committee_term - pool_term
+    if denom <= 0:
+        raise DegenerateContract(
+            f"stake equation denominator is {'zero' if denom == 0 else 'negative'} "
+            f"({denom:.6g}); reward {r_star:.6g} does not exceed committee + contribution "
+            f"terms {ctx.committee_term + pool_term:.6g}")
+    return cfg.stake_weight * cfg.reward_pool * ctx.fairness / (cfg.n_nodes * denom)
+
+
 @dataclass
 class ClosedFormContract:
     c_star: float
@@ -251,15 +276,7 @@ def optimal_contract_closed_form(cfg: SystemConfig,
         ctx = default_contract_context(cfg)
     cf = optimal_contribution_closed_form(cfg, ctx)
     r_star = effort_cost(cf.c_star, cfg.gamma_c)
-    pool_term = (1.0 - cfg.stake_weight) * cfg.reward_pool * ctx.fairness * ctx.c_hist / ctx.c_total
-    denom = r_star - ctx.committee_term - pool_term
-    if denom <= 0:
-        raise DegenerateContract(
-            f"stake equation denominator is {'zero' if denom == 0 else 'negative'} "
-            f"({denom:.6g}); reward {r_star:.6g} does not exceed committee + contribution "
-            f"terms {ctx.committee_term + pool_term:.6g}")
-    s_star = cfg.stake_weight * cfg.reward_pool * ctx.fairness / (cfg.n_nodes * denom)
-    return ClosedFormContract(cf.c_star, s_star, r_star, cf.interior_exists)
+    return ClosedFormContract(cf.c_star, _stake(cfg, ctx, r_star), r_star, cf.interior_exists)
 
 
 @dataclass
@@ -303,24 +320,23 @@ def grid_oracle(cfg: SystemConfig, ctx: ContractContext,
 
 
 def solve_constrained(cfg: SystemConfig, ctx: Optional[ContractContext] = None,
-                      c_bounds: Optional[tuple[float, float]] = None,
-                      r_bounds: Optional[tuple[float, float]] = None,
-                      tolerance: float = 1e-6, max_evaluations: int = 10_000,
-                      ir_margin: float = 1e-9) -> OptimalSolution:
+                      c_bounds: Optional[tuple[float, float]] = None) -> OptimalSolution:
     """Maximize publisher profit subject to participant rationality.
 
-    Runs SLSQP on -relaxed_profit with the inequality R - cost(C) >= 0, snaps
-    the result onto the active bounds, and validates it against the dense
-    grid oracle. Profit strictly decreases in R, so the rational-participation
-    constraint binds at the optimum; the returned reward sits ir_margin above
-    the cost so the participant's utility stays strictly positive.
+    Runs SLSQP on -relaxed_profit with the inequality R - cost(C) >= 0 over
+    R in [0, 2 * cost(max C)], snaps the result onto the active bounds, and
+    validates it against the dense grid oracle. Profit strictly decreases in
+    R, so the rational-participation constraint binds at the optimum; the
+    returned reward sits _IR_MARGIN above the cost so the participant's
+    utility stays strictly positive. The stake comes from the same equation
+    as the closed form and raises DegenerateContract where that has no
+    positive solution.
     """
     if ctx is None:
         ctx = default_contract_context(cfg)
     if c_bounds is None:
         c_bounds = (cfg.c_min, cfg.c_max)
-    if r_bounds is None:
-        r_bounds = (0.0, 2.0 * effort_cost(c_bounds[1], cfg.gamma_c))
+    r_bounds = (0.0, 2.0 * effort_cost(c_bounds[1], cfg.gamma_c))
 
     def neg_profit(v):
         c, r = v
@@ -336,7 +352,7 @@ def solve_constrained(cfg: SystemConfig, ctx: Optional[ContractContext] = None,
         neg_profit, x0, method="SLSQP",
         bounds=[c_bounds, r_bounds],
         constraints=[{"type": "ineq", "fun": ir_constraint}],
-        options={"maxiter": max_evaluations, "ftol": tolerance * 1e-3},
+        options={"maxiter": _MAX_ITERATIONS, "ftol": _FTOL},
     )
     if not result.success and result.status != 8:  # 8: positive directional derivative at bound
         raise SolverError(f"SLSQP failed after {result.nit} iterations: {result.message}")
@@ -345,23 +361,12 @@ def solve_constrained(cfg: SystemConfig, ctx: Optional[ContractContext] = None,
     for bound in c_bounds:
         if abs(c_star - bound) <= 1e-6:
             c_star = bound
-    r_star = effort_cost(c_star, cfg.gamma_c) + ir_margin
+    r_star = effort_cost(c_star, cfg.gamma_c) + _IR_MARGIN
+    s_star = _stake(cfg, ctx, r_star)
     profit = relaxed_profit(c_star, r_star, cfg, ctx)
-    residual = max(0.0, effort_cost(c_star, cfg.gamma_c) - r_star)
-    if residual > tolerance:
-        raise SolverError(f"constraint residual {residual} exceeds tolerance {tolerance}")
 
     grid_c, grid_r, grid_profit = grid_oracle(cfg, ctx, c_bounds, r_bounds)
     gap = abs(profit - grid_profit)
-
-    # Stake balancing equation at the solved reward; degenerate denominators
-    # surface as NaN in the solution rather than aborting the solve.
-    pool_term = (1.0 - cfg.stake_weight) * cfg.reward_pool * ctx.fairness * ctx.c_hist / ctx.c_total
-    denom = r_star - ctx.committee_term - pool_term
-    if denom > 0:
-        s_star = cfg.stake_weight * cfg.reward_pool * ctx.fairness / (cfg.n_nodes * denom)
-    else:
-        s_star = float("nan")
 
     item = ContractItem(type_index=1.0, contribution=c_star, stake=s_star, reward=r_star)
     menu = ContractMenu(items=[item], probabilities=[1.0])
@@ -372,7 +377,6 @@ def solve_constrained(cfg: SystemConfig, ctx: Optional[ContractContext] = None,
         ir_satisfaction_rate=ir.satisfaction_rate, min_utility=ir.min_utility,
         diagnostics={
             "iterations": int(result.nit),
-            "constraint_residual": residual,
             "grid_c": grid_c, "grid_r": grid_r, "grid_profit": grid_profit,
             "grid_gap": gap,
             "solver_message": str(result.message),

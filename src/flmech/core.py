@@ -40,13 +40,14 @@ class Role(Enum):
 class Node:
     """One participant's full economic state.
 
-    The `role` tag is ground truth for the simulation only; mechanism code
-    (committee, detection, rewards) never reads it.
+    `id` is the node's index in the population list: every round step
+    relies on `nodes[i].id == i`. The `role` tag is ground truth for the
+    simulation only; mechanism code (committee, detection, rewards) never
+    reads it.
     """
     id: int
     stake: float
     reputation: float
-    initial_reputation: float
     total_reward: float = 0.0
     participation: int = 0
     cooldown: int = 0
@@ -113,9 +114,6 @@ class SystemConfig:
     normal_mu: float = 7.0                # honest contribution gaussian
     normal_sigma: float = 1.0
     random_mix_p_high: float = 0.6        # probability of a false-high draw in the mixed attack
-    timeout_violation_weight: float = 0.3  # omega for timeout violations (compliance)
-    malicious_violation_weight: float = 1.0  # omega for detected malicious behaviour
-    severe_compliance_cutoff: float = 1.0  # weighted severity at/above which proceeds drop to zero
     contract_accounting: bool = False     # accumulate (V - R) margins in the publisher ledger
     attack_schedule: Optional[list[tuple[int, int, str]]] = None  # explicit phase table override
     seed: int = 42
@@ -178,8 +176,7 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         "contribution_bonus", "stability_bonus", "reputation_penalty_factor",
         "stake_penalty_factor", "reward_pool", "stake_weight", "theta_low",
         "theta_fluct", "theta_jump", "eps_std", "normal_sigma", "false_high_std",
-        "timeout_violation_weight", "malicious_violation_weight",
-        "severe_compliance_cutoff", "eta_switch",
+        "eta_switch",
     ]
     for name in nonneg:
         if getattr(cfg, name) < 0:
@@ -305,7 +302,7 @@ class RoundRecord:
 
 
 def init_population(cfg: SystemConfig, rng: RngStream) -> list[Node]:
-    """Create the starting population.
+    """Create the starting population, node i at index i.
 
     Exactly round-half-up(malicious_percent * n) nodes are tagged malicious,
     chosen on the ("roles", 0) stream; everything else about the nodes is
@@ -321,7 +318,6 @@ def init_population(cfg: SystemConfig, rng: RngStream) -> list[Node]:
             id=i,
             stake=cfg.initial_stake,
             reputation=cfg.initial_reputation,
-            initial_reputation=cfg.initial_reputation,
             role=Role.MALICIOUS if i in malicious_ids else Role.HONEST,
         ))
     return nodes

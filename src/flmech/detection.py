@@ -13,29 +13,19 @@ Detection reads contribution histories only; it never sees the ground-truth
 role tag. Nodes with fewer than two recorded rounds are never flagged.
 """
 
-import math
 from dataclasses import dataclass, field
 
 from .core import Node, SystemConfig
+from .metrics import mean, pstd
 
 
 @dataclass
 class DetectionReport:
-    round: int
     cond1: dict[int, bool] = field(default_factory=dict)
     cond2: dict[int, bool] = field(default_factory=dict)
     cond3: dict[int, bool] = field(default_factory=dict)
     detected: list[int] = field(default_factory=list)
     penalties: dict[int, float] = field(default_factory=dict)
-
-
-def _mean(values: list[float]) -> float:
-    return math.fsum(values) / len(values)
-
-
-def _pstd(values: list[float]) -> float:
-    m = _mean(values)
-    return math.sqrt(math.fsum((v - m) ** 2 for v in values) / len(values))
 
 
 def _median(values: list[float]) -> float:
@@ -45,30 +35,29 @@ def _median(values: list[float]) -> float:
     return s[mid] if n % 2 else 0.5 * (s[mid - 1] + s[mid])
 
 
-def detect(nodes: list[Node], cfg: SystemConfig, t: int) -> DetectionReport:
-    """Evaluate the condition set for round t (contributions already collected)."""
+def detect(nodes: list[Node], cfg: SystemConfig) -> DetectionReport:
+    """Evaluate the condition set for the current round (contributions
+    already collected)."""
     tau = cfg.window
-    report = DetectionReport(round=t)
+    report = DetectionReport()
 
-    windows = {nd.id: nd.contribution_history[-tau:] for nd in nodes}
-    current = {nd.id: windows[nd.id][-1] for nd in nodes if windows[nd.id]}
-    pooled = [c for w in windows.values() for c in w]
+    windows = [nd.contribution_history[-tau:] for nd in nodes]
+    pooled = [c for w in windows for c in w]
     pop_median = _median(pooled) if pooled else 0.0
-    this_round = list(current.values())
-    round_mean = _mean(this_round) if this_round else 0.0
-    round_std = _pstd(this_round) if this_round else 0.0
+    this_round = [w[-1] for w in windows if w]
+    round_mean = mean(this_round)
+    round_std = pstd(this_round)
 
-    for nd in nodes:
+    for nd, own in zip(nodes, windows):
         if len(nd.contribution_history) < 2:
             continue
-        own = windows[nd.id]
-        c_now = current[nd.id]
+        c_now = own[-1]
 
-        cond1 = _mean(own) < cfg.theta_low * pop_median
+        cond1 = mean(own) < cfg.theta_low * pop_median
         cond2 = abs(c_now - round_mean) > cfg.theta_fluct * round_std
         prev = nd.contribution_history[-(tau + 1):-1]  # the tau rounds before t
-        jump_scale = max(_pstd(prev), cfg.eps_std)
-        cond3 = abs(c_now - _mean(prev)) > cfg.theta_jump * jump_scale
+        jump_scale = max(pstd(prev), cfg.eps_std)
+        cond3 = abs(c_now - mean(prev)) > cfg.theta_jump * jump_scale
 
         report.cond1[nd.id] = cond1
         report.cond2[nd.id] = cond2
@@ -89,10 +78,9 @@ def apply_penalties(nodes: list[Node], report: DetectionReport, cfg: SystemConfi
     Fills the report's penalty map and returns the total stake deducted
     (credited to the publisher-profit ledger by the engine).
     """
-    by_id = {nd.id: nd for nd in nodes}
     total_deducted = 0.0
     for node_id in report.detected:
-        nd = by_id[node_id]
+        nd = nodes[node_id]
         amount = penalty(nd.reputation, nd.stake,
                          cfg.reputation_penalty_factor, cfg.stake_penalty_factor)
         deduction = cfg.stake_penalty_factor * nd.stake

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, replace
 from . import committee as committee_mod
 from . import detection as detection_mod
 from . import reward as reward_mod
-from .behavior import AttackSchedule, BehaviorPattern, PatternKind, schedule_from_config, sample_contribution
+from .behavior import AttackSchedule, PatternKind, schedule_from_config, sample_contribution
 from .contract import contribution_value
 from .core import Node, Role, RngStream, RoundRecord, SystemConfig, validate_config, init_population
-from .metrics import gini, jain_index
+from .metrics import gini, jain_index, mean
 from .reputation import quality, stability, update_reputation
 
 
@@ -26,13 +26,11 @@ class PublisherLedger:
     stake_deductions: float = 0.0
     contract_margin: float = 0.0   # accumulated (V - R) terms, when enabled
 
-    @property
-    def total(self) -> float:
-        return self.stake_deductions + self.contract_margin
-
 
 @dataclass
 class WorldState:
+    """The whole simulation: config, population (node i at index i), attack
+    schedule, RNG, round counter, publisher ledger and per-round records."""
     cfg: SystemConfig
     nodes: list[Node]
     schedule: AttackSchedule
@@ -41,8 +39,34 @@ class WorldState:
     ledger: PublisherLedger = field(default_factory=PublisherLedger)
     records: list[RoundRecord] = field(default_factory=list)
 
+    def first_detection_round(self) -> dict[int, int]:
+        """Earliest round each node id was flagged, for nodes ever flagged."""
+        first: dict[int, int] = {}
+        for rec in self.records:
+            for node_id in rec.detected:
+                first.setdefault(node_id, rec.round)
+        return first
 
-_NORMAL = BehaviorPattern(PatternKind.NORMAL)
+    def summary(self) -> dict:
+        honest = [nd for nd in self.nodes if nd.role is Role.HONEST]
+        malicious = [nd for nd in self.nodes if nd.role is Role.MALICIOUS]
+        return {
+            "seed": self.rng.seed,
+            "rounds": len(self.records),
+            "n_nodes": len(self.nodes),
+            "n_honest": len(honest),
+            "n_malicious": len(malicious),
+            "honest_total_reward": math.fsum(nd.total_reward for nd in honest),
+            "malicious_total_reward": math.fsum(nd.total_reward for nd in malicious),
+            "honest_mean_reputation": mean([nd.reputation for nd in honest]),
+            "malicious_mean_reputation": mean([nd.reputation for nd in malicious]),
+            "cumulative_reward_gini": gini([nd.total_reward for nd in self.nodes]),
+            "honest_reward_gini": gini([nd.total_reward for nd in honest]),
+            "publisher_stake_income": self.ledger.stake_deductions,
+            "publisher_contract_margin": self.ledger.contract_margin,
+            "detected_per_round": [len(rec.detected) for rec in self.records],
+            "first_detection_round": self.first_detection_round(),
+        }
 
 
 def new_world(cfg: SystemConfig, seed: int | None = None) -> WorldState:
@@ -53,23 +77,25 @@ def new_world(cfg: SystemConfig, seed: int | None = None) -> WorldState:
     return WorldState(cfg=cfg, nodes=nodes, schedule=schedule_from_config(cfg), rng=rng)
 
 
-def collect_contributions(state: WorldState) -> tuple[dict[int, tuple[float, float]], list[int]]:
-    """Sample every node's (contribution, completion time) for the current
+def collect_contributions(state: WorldState) -> tuple[list[float], list[float], list[int]]:
+    """Sample every node's contribution and completion time for the current
     round and append the contribution to the node's history, which keeps
     the last window+1 entries.
 
-    With a finite submission deadline, late submissions are recorded as zero
-    contributions and reported as timeout violations. On-time positive
-    contributions increment the participation counter.
+    Returns (contributions, completion_times, timeouts), the first two in
+    node order. With a finite submission deadline, late submissions are
+    recorded as zero contributions and reported as timeout violations.
+    On-time positive contributions increment the participation counter.
     """
     cfg, t = state.cfg, state.t
     keep = cfg.window + 1
-    collected: dict[int, tuple[float, float]] = {}
+    attack = state.schedule.pattern_at(t)
+    contributions: list[float] = []
+    completion_times: list[float] = []
     timeouts: list[int] = []
     for nd in state.nodes:
-        pattern = _NORMAL if nd.role is Role.HONEST else state.schedule.pattern_at(t)
-        gen = state.rng.stream("contrib", t, nd.id)
-        c, tau = sample_contribution(pattern, cfg, gen)
+        kind = PatternKind.NORMAL if nd.role is Role.HONEST else attack
+        c, tau = sample_contribution(kind, cfg, state.rng.stream("contrib", t, nd.id))
         if cfg.t_max is not None and tau > cfg.t_max:
             c = 0.0
             timeouts.append(nd.id)
@@ -79,8 +105,9 @@ def collect_contributions(state: WorldState) -> tuple[dict[int, tuple[float, flo
             del history[0]
         if c > 0.0:
             nd.participation += 1
-        collected[nd.id] = (c, tau)
-    return collected, timeouts
+        contributions.append(c)
+        completion_times.append(tau)
+    return contributions, completion_times, timeouts
 
 
 def _snapshot_nodes(nodes: list[Node]) -> list[Node]:
@@ -105,58 +132,51 @@ def run_round(state: WorldState) -> RoundRecord:
 
 def _run_round_steps(state: WorldState) -> RoundRecord:
     cfg, t, nodes = state.cfg, state.t, state.nodes
-    n = len(nodes)
 
     # (1) contributions
-    collected, timeouts = collect_contributions(state)
+    contributions, completion_times, timeouts = collect_contributions(state)
 
     # (2) committee on pre-update reputations, then cooldown bookkeeping
-    selection = committee_mod.select_committee(nodes, cfg, state.rng.stream("committee", t), t)
+    selection = committee_mod.select_committee(nodes, cfg, state.rng.stream("committee", t))
     committee_mod.update_cooldowns(nodes, selection.members, cfg)
 
     # (3) committee performs aggregation: logical no-op, contribution scalars
     # stand in for model updates
 
     # (4) detection over the read snapshot
-    report = detection_mod.detect(nodes, cfg, t)
+    report = detection_mod.detect(nodes, cfg)
 
     # (5) penalties for detected nodes, reputation update for the rest
-    deducted = detection_mod.apply_penalties(nodes, report, cfg)
-    state.ledger.stake_deductions += deducted
+    state.ledger.stake_deductions += detection_mod.apply_penalties(nodes, report, cfg)
     detected_set = set(report.detected)
-    qualities = [0.0] * n
-    for nd in nodes:
-        c_now, _ = collected[nd.id]
-        q = quality(c_now, cfg.c_min, cfg.c_max)
-        qualities[nd.id] = q
+    qualities = [quality(c, cfg.c_min, cfg.c_max) for c in contributions]
+    for nd, q in zip(nodes, qualities):
         if nd.id in detected_set:
             continue
         lam = stability(nd.contribution_history, cfg.window, cfg.default_stability)
         nd.reputation = update_reputation(nd, q, lam, cfg, t)
 
     # (6) rewards on post-update reputations
-    rewards = reward_mod.allocate_rewards(nodes, selection.members, cfg, t)
+    rewards = reward_mod.allocate_rewards(nodes, selection.members, cfg)
     if cfg.contract_accounting:
-        for nd in nodes:
-            c_now, tau_now = collected[nd.id]
+        for c_now, tau_now, r in zip(contributions, completion_times, rewards):
             v = contribution_value(c_now, tau_now, cfg.contribution_bonus, cfg.c_min, cfg.c_max)
-            state.ledger.contract_margin += v - rewards[nd.id]
+            state.ledger.contract_margin += v - r
 
     # (7) fairness metrics over this round's rewards
     jain = jain_index(rewards, cfg.epsilon)
     g = gini(rewards)
 
     # (8) audit record
-    penalties = [report.penalties.get(i, 0.0) for i in range(n)]
     return RoundRecord(
         round=t,
         committee=sorted(selection.members),
         undersized_committee=selection.undersized,
-        contributions=[collected[i][0] for i in range(n)],
-        completion_times=[collected[i][1] for i in range(n)],
+        contributions=contributions,
+        completion_times=completion_times,
         qualities=qualities,
         reputation_after=[nd.reputation for nd in nodes],
-        penalties=penalties,
+        penalties=[report.penalties.get(i, 0.0) for i in range(len(nodes))],
         rewards=rewards,
         detected=sorted(report.detected),
         timeouts=timeouts,
@@ -166,56 +186,10 @@ def _run_round_steps(state: WorldState) -> RoundRecord:
     )
 
 
-@dataclass
-class SimulationResult:
-    cfg: SystemConfig
-    seed: int
-    records: list[RoundRecord]
-    nodes: list[Node]
-    ledger: PublisherLedger
-
-    def reward_totals(self, role: Role | None = None) -> list[float]:
-        return [nd.total_reward for nd in self.nodes if role is None or nd.role is role]
-
-    def reputations(self, role: Role | None = None) -> list[float]:
-        return [nd.reputation for nd in self.nodes if role is None or nd.role is role]
-
-    def first_detection_round(self) -> dict[int, int]:
-        """Earliest round each node id was flagged, for nodes ever flagged."""
-        first: dict[int, int] = {}
-        for rec in self.records:
-            for node_id in rec.detected:
-                first.setdefault(node_id, rec.round)
-        return first
-
-    def summary(self) -> dict:
-        honest = [nd for nd in self.nodes if nd.role is Role.HONEST]
-        malicious = [nd for nd in self.nodes if nd.role is Role.MALICIOUS]
-        total_honest = math.fsum(nd.total_reward for nd in honest)
-        total_malicious = math.fsum(nd.total_reward for nd in malicious)
-        return {
-            "seed": self.seed,
-            "rounds": len(self.records),
-            "n_nodes": len(self.nodes),
-            "n_honest": len(honest),
-            "n_malicious": len(malicious),
-            "honest_total_reward": total_honest,
-            "malicious_total_reward": total_malicious,
-            "honest_mean_reputation": math.fsum(nd.reputation for nd in honest) / len(honest) if honest else 0.0,
-            "malicious_mean_reputation": math.fsum(nd.reputation for nd in malicious) / len(malicious) if malicious else 0.0,
-            "cumulative_reward_gini": gini([nd.total_reward for nd in self.nodes]),
-            "honest_reward_gini": gini([nd.total_reward for nd in honest]) if honest else 0.0,
-            "publisher_stake_income": self.ledger.stake_deductions,
-            "publisher_contract_margin": self.ledger.contract_margin,
-            "detected_per_round": [len(rec.detected) for rec in self.records],
-            "first_detection_round": self.first_detection_round(),
-        }
-
-
-def run_simulation(cfg: SystemConfig, seed: int | None = None) -> SimulationResult:
-    """Run the configured number of rounds and return the full trace."""
+def run_simulation(cfg: SystemConfig, seed: int | None = None) -> WorldState:
+    """Run the configured number of rounds and return the final world
+    state, which holds the full per-round trace."""
     state = new_world(cfg, seed)
     for _ in range(cfg.rounds):
         run_round(state)
-    return SimulationResult(cfg=cfg, seed=state.rng.seed, records=state.records,
-                            nodes=state.nodes, ledger=state.ledger)
+    return state

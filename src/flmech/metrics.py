@@ -9,6 +9,19 @@ from .core import sigmoid
 _TINY = 2.0 ** -1048
 
 
+def mean(values: list[float]) -> float:
+    """Arithmetic mean by math.fsum; 0.0 for empty input."""
+    return math.fsum(values) / len(values) if values else 0.0
+
+
+def pstd(values: list[float]) -> float:
+    """Population standard deviation about the mean; 0.0 for empty input."""
+    if not values:
+        return 0.0
+    m = mean(values)
+    return math.sqrt(math.fsum((v - m) ** 2 for v in values) / len(values))
+
+
 def jain_ratio(values: list[float], eps: float = 1e-8) -> float:
     """The classic fairness ratio (sum)^2 / (n * sum of squares + eps).
 
@@ -34,8 +47,7 @@ def jain_index(values: list[float], eps: float = 1e-8) -> float:
     Equal positive values give the pure ratio 1; the result is then
     sigmoid(mean/10) of that. All-zero input scores 0.
     """
-    mean = math.fsum(values) / len(values)
-    return jain_ratio(values, eps) * sigmoid(mean / 10.0)
+    return jain_ratio(values, eps) * sigmoid(mean(values) / 10.0)
 
 
 def gini(values: list[float]) -> float:

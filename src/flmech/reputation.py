@@ -1,9 +1,8 @@
 """Quality scoring, participation-compensated decay, stability bonus, and
 the capped reputation update."""
 
-import math
-
 from .core import DomainError, Node, SystemConfig, sigmoid
+from .metrics import pstd
 
 
 def quality(contribution: float, c_min: float, c_max: float) -> float:
@@ -19,12 +18,6 @@ def decay_factor(base_decay: float, compensation: float, participation: int) -> 
     return base_decay + compensation * (1.0 - 1.0 / (1.0 + participation / 100.0))
 
 
-def _population_std(values: list[float]) -> float:
-    n = len(values)
-    mean = math.fsum(values) / n
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n)
-
-
 def stability(window: list[float], tau: int, default_stability: float) -> float:
     """Stability bonus factor in [0,1] from the last tau contributions.
 
@@ -34,7 +27,7 @@ def stability(window: list[float], tau: int, default_stability: float) -> float:
     """
     if len(window) < tau:
         return default_stability
-    raw = 1.0 - _population_std(window[-tau:]) / tau
+    raw = 1.0 - pstd(window[-tau:]) / tau
     return min(1.0, max(0.0, raw))
 
 

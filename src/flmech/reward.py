@@ -10,7 +10,7 @@ this round earn nothing, bonus included.
 import math
 
 from .core import DomainError, Node, SystemConfig, sigmoid
-from .metrics import jain_index, jain_ratio
+from .metrics import jain_index, jain_ratio, mean
 
 
 def effective_stake(stake: float, mean_stake: float) -> float:
@@ -45,44 +45,41 @@ def committee_bonus(member_reputations: list[float], base_bonus: float, eps: flo
     committee."""
     if not member_reputations:
         return 0.0
-    mean = math.fsum(member_reputations) / len(member_reputations)
-    return base_bonus * jain_ratio(member_reputations, eps) * sigmoid(mean / 10.0)
+    return base_bonus * jain_ratio(member_reputations, eps) \
+        * sigmoid(mean(member_reputations) / 10.0)
 
 
-def allocate_rewards(nodes: list[Node], committee: list[int], cfg: SystemConfig,
-                     t: int) -> list[float]:
-    """Compute every node's reward for round t, add it to the node's total
-    and return the rewards in the order of `nodes`.
+def allocate_rewards(nodes: list[Node], committee: list[int], cfg: SystemConfig) -> list[float]:
+    """Compute every node's reward for the current round, add it to the
+    node's total and return the rewards in the order of `nodes`.
 
     Shares are normalized by the raw stake total and by the population's
     decayed contribution total; the zero-contribution override is applied
     last, after the committee bonus.
     """
-    n = len(nodes)
     reputations = [nd.reputation for nd in nodes]
-    mean_rep = math.fsum(reputations) / n
     fairness = jain_index(reputations, cfg.epsilon)
+    # every node starts from cfg.initial_reputation, so alpha is uniform
+    alpha = alpha_weight(mean(reputations), cfg.initial_reputation, cfg.f_scale,
+                         cfg.stake_weight)
+    beta = 1.0 - alpha
 
-    stakes = [nd.stake for nd in nodes]
-    total_stake = math.fsum(stakes)
-    mean_stake = total_stake / n
+    total_stake = math.fsum(nd.stake for nd in nodes)
+    mean_stake = total_stake / len(nodes)
 
-    hist_values = {nd.id: historical_contribution(nd.contribution_history, cfg.history_decay,
-                                                  cfg.window)
-                   for nd in nodes}
-    c_total = math.fsum(hist_values.values())
+    hist_values = [historical_contribution(nd.contribution_history, cfg.history_decay, cfg.window)
+                   for nd in nodes]
+    c_total = math.fsum(hist_values)
 
     members = set(committee)
     member_reps = [nd.reputation for nd in nodes if nd.id in members]
     bonus = committee_bonus(member_reps, cfg.committee_bonus, cfg.epsilon)
 
     out = []
-    for nd in nodes:
-        alpha = alpha_weight(mean_rep, nd.initial_reputation, cfg.f_scale, cfg.stake_weight)
-        beta = 1.0 - alpha
+    for nd, hist in zip(nodes, hist_values):
         s_eff = effective_stake(nd.stake, mean_stake)
         stake_share = s_eff / total_stake if total_stake > 0 else 0.0
-        contrib_share = hist_values[nd.id] / c_total if c_total > 0 else 0.0
+        contrib_share = hist / c_total if c_total > 0 else 0.0
         stake_term = alpha * cfg.reward_pool * stake_share
         contrib_term = beta * cfg.reward_pool * contrib_share
         r_cmm = bonus if nd.id in members else 0.0

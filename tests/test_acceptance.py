@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from flmech.behavior import BehaviorPattern, PatternKind, sample_contribution
+from flmech.behavior import PatternKind, sample_contribution
 from flmech.cli import main as cli_main
 from flmech.committee import select_committee, stratum_quota
 from flmech.contract import (
@@ -73,7 +73,7 @@ def test_criterion_2_detection_dynamics(default_runs):
     cfg = SystemConfig()
     for result, _ in default_runs:
         early = [len(rec.detected) for rec in result.records[:cfg.eta_switch]]
-        assert sum(early) == 0, f"seed {result.seed}: detections before the switch"
+        assert sum(early) == 0, f"seed {result.rng.seed}: detections before the switch"
 
         malicious = [nd.id for nd in result.nodes if nd.role is Role.MALICIOUS]
         first = result.first_detection_round()
@@ -147,13 +147,12 @@ def test_criterion_7_committee_properties(default_runs):
 
     # uniform reputations: selection frequency uniform within each stratum
     cfg = dataclasses.replace(SystemConfig(), n_nodes=30)
-    nodes = [Node(id=i, stake=100.0, reputation=100.0, initial_reputation=100.0)
-             for i in range(30)]
+    nodes = [Node(id=i, stake=100.0, reputation=100.0) for i in range(30)]
     rng = np.random.default_rng(0)
     counts = np.zeros(30, dtype=int)
     rounds = 100_000
-    for t in range(rounds):
-        for member in select_committee(nodes, cfg, rng, t).members:
+    for _ in range(rounds):
+        for member in select_committee(nodes, cfg, rng).members:
             counts[member] += 1
     for k in range(3):
         stratum_counts = counts[10 * k:10 * (k + 1)]
@@ -198,12 +197,12 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
 def test_criterion_10_behavior_sampling():
     cfg = dataclasses.replace(SystemConfig(), fluct_low=1.0, fluct_high=1.0)
     rng = np.random.default_rng(2024)
-    normal = BehaviorPattern(PatternKind.NORMAL)
-    draws = np.array([sample_contribution(normal, cfg, rng)[0] for _ in range(100_000)])
+    draws = np.array([sample_contribution(PatternKind.NORMAL, cfg, rng)[0]
+                      for _ in range(100_000)])
     assert abs(draws.mean() - 7.0) < 0.05
 
-    mix = BehaviorPattern(PatternKind.RANDOM_MIX, p_high=cfg.random_mix_p_high)
-    mix_draws = np.array([sample_contribution(mix, cfg, rng)[0] for _ in range(100_000)])
+    mix_draws = np.array([sample_contribution(PatternKind.RANDOM_MIX, cfg, rng)[0]
+                          for _ in range(100_000)])
     zero_fraction = float(np.mean(mix_draws == 0.0))
     assert abs(zero_fraction - 0.40) < 0.01
     _announce("10 sampling: normal mean 7 +/- 0.05, mixed zero fraction 0.40 +/- 0.01")

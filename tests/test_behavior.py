@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from flmech.behavior import (
-    AttackSchedule, BehaviorPattern, PatternKind, ScheduleError,
+    AttackSchedule, PatternKind, ScheduleError,
     default_schedule, sample_contribution, schedule_from_config,
 )
 from flmech.core import SystemConfig
@@ -22,21 +22,21 @@ CFG = SystemConfig()
 
 def test_default_schedule_boundaries():
     sched = default_schedule(CFG)
-    assert [(s, e, p.kind) for s, e, p in sched.phases] == [
+    assert list(sched.phases) == [
         (0, 5, PatternKind.FALSE_HIGH),
         (5, 30, PatternKind.ZERO),
         (30, 60, PatternKind.RANDOM_MIX),
         (60, 90, PatternKind.ZERO),
     ]
-    assert sched.pattern_at(0).kind is PatternKind.FALSE_HIGH
-    assert sched.pattern_at(29).kind is PatternKind.ZERO
-    assert sched.pattern_at(89).kind is PatternKind.ZERO
+    assert sched.pattern_at(0) is PatternKind.FALSE_HIGH
+    assert sched.pattern_at(29) is PatternKind.ZERO
+    assert sched.pattern_at(89) is PatternKind.ZERO
 
 
 def test_default_schedule_degenerate_single_phase():
     cfg = dataclasses.replace(CFG, rounds=5, eta_switch=5)
     sched = default_schedule(cfg)
-    assert [(s, e, p.kind) for s, e, p in sched.phases] == [(0, 5, PatternKind.FALSE_HIGH)]
+    assert list(sched.phases) == [(0, 5, PatternKind.FALSE_HIGH)]
 
 
 def test_default_schedule_too_few_rounds():
@@ -45,7 +45,7 @@ def test_default_schedule_too_few_rounds():
 
 
 def test_schedule_partition_enforced():
-    p = BehaviorPattern(PatternKind.ZERO)
+    p = PatternKind.ZERO
     with pytest.raises(ScheduleError):
         AttackSchedule(((0, 5, p), (6, 10, p)))  # gap
     with pytest.raises(ScheduleError):
@@ -56,15 +56,14 @@ def test_schedule_from_config_override():
     cfg = dataclasses.replace(CFG, rounds=10,
                               attack_schedule=[(0, 4, "zero"), (4, 10, "random_mix")])
     sched = schedule_from_config(cfg)
-    assert sched.pattern_at(3).kind is PatternKind.ZERO
-    assert sched.pattern_at(4).kind is PatternKind.RANDOM_MIX
-    assert sched.pattern_at(4).p_high == CFG.random_mix_p_high
+    assert sched.pattern_at(3) is PatternKind.ZERO
+    assert sched.pattern_at(4) is PatternKind.RANDOM_MIX
 
 
 def test_zero_pattern_always_zero():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        c, tau = sample_contribution(BehaviorPattern(PatternKind.ZERO), CFG, rng)
+        c, tau = sample_contribution(PatternKind.ZERO, CFG, rng)
         assert c == 0.0
         assert CFG.tau_low <= tau <= CFG.tau_high
 
@@ -74,27 +73,25 @@ def test_normal_pattern_mean_against_gaussian_oracle():
     # 7 +/- 0.05 of the gaussian mean over 1e5 draws (CLT sigma ~ 0.003).
     cfg = dataclasses.replace(CFG, fluct_low=1.0, fluct_high=1.0)
     rng = np.random.default_rng(1234)
-    pattern = BehaviorPattern(PatternKind.NORMAL)
-    draws = [sample_contribution(pattern, cfg, rng)[0] for _ in range(100_000)]
+    draws = [sample_contribution(PatternKind.NORMAL, cfg, rng)[0] for _ in range(100_000)]
     assert abs(np.mean(draws) - cfg.normal_mu) < 0.05
 
 
 def test_random_mix_zero_fraction():
+    # the zero fraction is 1 - random_mix_p_high: 0.40 at the default 0.6,
+    # and exactly 0 or 1 at the extremes
     rng = np.random.default_rng(99)
-    pattern = BehaviorPattern(PatternKind.RANDOM_MIX, p_high=CFG.random_mix_p_high)
-    draws = [sample_contribution(pattern, CFG, rng)[0] for _ in range(100_000)]
-    zero_fraction = np.mean(np.asarray(draws) == 0.0)
-    assert abs(zero_fraction - 0.40) < 0.01
+    for p_high, draws_n in ((CFG.random_mix_p_high, 100_000), (0.0, 2_000), (1.0, 2_000)):
+        cfg = dataclasses.replace(CFG, random_mix_p_high=p_high)
+        draws = [sample_contribution(PatternKind.RANDOM_MIX, cfg, rng)[0] for _ in range(draws_n)]
+        zero_fraction = np.mean(np.asarray(draws) == 0.0)
+        assert abs(zero_fraction - (1.0 - p_high)) < 0.01
 
 
 def test_all_patterns_clamped_to_contribution_range():
     # 1e6 draws split across patterns; every one must land in [c_min, c_max].
     rng = np.random.default_rng(7)
-    patterns = [BehaviorPattern(PatternKind.NORMAL),
-                BehaviorPattern(PatternKind.FALSE_HIGH),
-                BehaviorPattern(PatternKind.ZERO),
-                BehaviorPattern(PatternKind.RANDOM_MIX)]
-    for pattern in patterns:
+    for pattern in PatternKind:
         draws = np.asarray([sample_contribution(pattern, CFG, rng)[0]
                             for _ in range(250_000)])
         assert draws.min() >= CFG.c_min
@@ -103,6 +100,5 @@ def test_all_patterns_clamped_to_contribution_range():
 
 def test_false_high_concentrates_near_saturation():
     rng = np.random.default_rng(5)
-    pattern = BehaviorPattern(PatternKind.FALSE_HIGH)
-    draws = [sample_contribution(pattern, CFG, rng)[0] for _ in range(10_000)]
+    draws = [sample_contribution(PatternKind.FALSE_HIGH, CFG, rng)[0] for _ in range(10_000)]
     assert abs(np.mean(draws) - CFG.false_high_mean) < 0.05

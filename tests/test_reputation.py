@@ -16,7 +16,7 @@ CFG = SystemConfig()
 
 
 def make_node(reputation=100.0, participation=0):
-    return Node(id=0, stake=100.0, reputation=reputation, initial_reputation=100.0,
+    return Node(id=0, stake=100.0, reputation=reputation,
                 participation=participation)
 
 

@@ -17,7 +17,7 @@ CFG = SystemConfig()
 
 
 def node_with_history(i, contributions, stake=100.0, reputation=100.0):
-    nd = Node(id=i, stake=stake, reputation=reputation, initial_reputation=100.0)
+    nd = Node(id=i, stake=stake, reputation=reputation)
     # the engine keeps the last window+1 contributions
     nd.contribution_history = [float(c) for c in contributions][-(CFG.window + 1):]
     return nd
@@ -72,7 +72,7 @@ def test_committee_bonus_empty():
 def test_single_node_collapses_to_pool_times_fairness():
     cfg = dataclasses.replace(CFG, n_nodes=1, committee_size=1)
     node = node_with_history(0, [5.0, 5.0, 5.0], reputation=200.0)
-    out = allocate_rewards([node], [0], cfg, t=2)[0]
+    out = allocate_rewards([node], [0], cfg)[0]
     expected_fairness = jain_index([200.0], cfg.epsilon)
     expected = cfg.reward_pool * expected_fairness + committee_bonus(
         [200.0], cfg.committee_bonus, cfg.epsilon)
@@ -82,20 +82,20 @@ def test_single_node_collapses_to_pool_times_fairness():
 
 def test_zero_contribution_override_beats_committee_bonus():
     nodes = [node_with_history(0, [5.0, 0.0]), node_with_history(1, [5.0, 5.0])]
-    out = allocate_rewards(nodes, [0], CFG, t=1)
+    out = allocate_rewards(nodes, [0], CFG)
     assert out[0] == 0.0            # zero contributor earns nothing, even selected
     assert out[1] > 0.0
 
 
 def test_empty_history_override():
     nodes = [node_with_history(0, []), node_with_history(1, [5.0])]
-    out = allocate_rewards(nodes, [], CFG, t=0)
+    out = allocate_rewards(nodes, [], CFG)
     assert out[0] == 0.0
 
 
 def test_symmetric_population_equal_rewards():
     nodes = [node_with_history(i, [4.0, 4.0]) for i in range(10)]
-    out = allocate_rewards(nodes, [], CFG, t=1)
+    out = allocate_rewards(nodes, [], CFG)
     first = out[0]
     assert first > 0.0
     assert all(abs(r - first) < 1e-9 for r in out)
@@ -109,12 +109,12 @@ def test_permutation_symmetry():
     stakes = [50.0, 100.0, 400.0]
 
     nodes = [node_with_history(i, histories[i], stake=stakes[i]) for i in range(3)]
-    base = allocate_rewards(nodes, [2], CFG, t=1)
+    base = allocate_rewards(nodes, [2], CFG)
 
     perm = [2, 0, 1]  # new id of original node i
     nodes2 = [node_with_history(perm[i], histories[i], stake=stakes[i]) for i in range(3)]
     nodes2.sort(key=lambda nd: nd.id)
-    permuted = allocate_rewards(nodes2, [perm[2]], CFG, t=1)  # indexed by id after the sort
+    permuted = allocate_rewards(nodes2, [perm[2]], CFG)  # indexed by id after the sort
     for i in range(3):
         assert base[i] == pytest.approx(permuted[perm[i]], rel=1e-12)
 
@@ -123,7 +123,7 @@ def test_conservation_bound_per_round():
     rng_histories = [[9.0, 8.5], [7.0, 7.5], [0.5, 1.0], [10.0, 10.0]]
     nodes = [node_with_history(i, rng_histories[i % 4], stake=100.0 * (i + 1))
              for i in range(12)]
-    out = allocate_rewards(nodes, [0, 1, 2, 3, 4], CFG, t=1)
+    out = allocate_rewards(nodes, [0, 1, 2, 3, 4], CFG)
     total = math.fsum(out)
     assert total <= CFG.reward_pool + CFG.committee_size * CFG.committee_bonus
 
@@ -137,7 +137,7 @@ def test_stake_cap_effect_on_share():
     def whale_reward(whale_stake):
         nodes = [node_with_history(0, [5.0, 5.0], stake=whale_stake)]
         nodes += [node_with_history(i, [5.0, 5.0], stake=100.0) for i in range(1, 10)]
-        return allocate_rewards(nodes, [], CFG, t=1)[0]
+        return allocate_rewards(nodes, [], CFG)[0]
 
     def reward_counting(counted_stake, total_stake):
         # equal reputations and contributions: a tenth of the contribution term
@@ -159,6 +159,6 @@ def test_stake_cap_effect_on_share():
 def test_rewards_nonnegative(contribs, committee_pick):
     nodes = [node_with_history(i, [c, c]) for i, c in enumerate(contribs)]
     members = [committee_pick] if committee_pick < len(nodes) else []
-    out = allocate_rewards(nodes, members, CFG, t=1)
+    out = allocate_rewards(nodes, members, CFG)
     assert len(out) == len(nodes)
     assert all(r >= 0.0 for r in out)
