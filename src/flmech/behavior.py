@@ -11,10 +11,10 @@ from enum import Enum
 
 import numpy as np
 
-from .core import SystemConfig
+from .core import ConfigError, SystemConfig
 
 
-class ScheduleError(ValueError):
+class ScheduleError(ConfigError):
     """The requested schedule cannot cover the configured round span."""
 
 
@@ -79,8 +79,12 @@ def schedule_from_config(cfg: SystemConfig) -> AttackSchedule:
         return AttackSchedule(())
     if cfg.attack_schedule is None:
         return default_schedule(cfg)
-    sched = AttackSchedule(tuple((start, end, PatternKind(name))
-                                 for start, end, name in cfg.attack_schedule))
+    kinds = {kind.value: kind for kind in PatternKind}
+    for _, _, name in cfg.attack_schedule:
+        if name not in kinds:
+            raise ScheduleError(f"attack_schedule: unknown pattern '{name}'"
+                                f" (expected one of {', '.join(kinds)})")
+    sched = AttackSchedule(tuple((start, end, kinds[name]) for start, end, name in cfg.attack_schedule))
     if sched.rounds != cfg.rounds:
         raise ScheduleError(f"schedule covers [0,{sched.rounds}) but config has {cfg.rounds} rounds")
     return sched

@@ -17,12 +17,13 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .contract import DegenerateContract, SolverError, optimal_contract_closed_form, solve_constrained
 from .core import (
-    ConfigError, Role, SystemConfig, _parse_value, config_to_dict, load_config, validate_config,
+    _CONFIG_FIELDS, ConfigError, Role, SystemConfig, _parse_value, config_from_dict, config_to_dict,
+    load_config, validate_config,
 )
 from .engine import WorldState, run_simulation
 from .metrics import mean
@@ -125,25 +126,28 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_grid(pairs: list[str]) -> dict[str, list]:
-    valid = {f.name for f in fields(SystemConfig)}
     grid = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ConfigError(f"--grid expects key=v1,v2,... got '{pair}'")
         key, _, rest = pair.partition("=")
         key = key.strip()
-        if key not in valid:
+        if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown grid key '{key}'")
         grid[key] = [_parse_value(key, tok) for tok in rest.split(",")]
     return grid
 
 
 def _parse_seeds(raw: str) -> list[int]:
-    raw = raw.strip()
-    if ":" in raw:
-        lo, _, hi = raw.partition(":")
-        return list(range(int(lo), int(hi)))
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+    lo, colon, hi = raw.partition(":")
+    try:
+        seeds = (list(range(int(lo), int(hi))) if colon
+                 else [int(tok) for tok in raw.split(",") if tok.strip()])
+    except ValueError:
+        raise ConfigError(f"--seeds expects a comma list or a lo:hi range, got '{raw}'") from None
+    if not seeds:
+        raise ConfigError(f"--seeds '{raw}' selects no seed")
+    return seeds
 
 
 def cmd_sweep(args) -> int:
@@ -209,96 +213,65 @@ def cmd_contract_opt(args) -> int:
     return 0
 
 
-def _read_csv(path: Path, expected_header: list[str]) -> list[dict]:
-    if not path.exists():
-        raise FileNotFoundError(f"missing file: {path}")
+def _csv_rows(path: Path, header: list[str]):
+    """Yield the rows of a CSV file, one at a time, after checking its header;
+    a row whose width differs from the header's is a corrupt file."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"corrupt file (empty): {path}")
-        if header != expected_header:
-            raise ValueError(f"corrupt file (header mismatch): {path}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
+        if next(reader, None) != header:
+            raise ValueError(f"corrupt file (header is not {','.join(header)}): {path}")
+        for row in reader:
             if len(row) != len(header):
-                raise ValueError(f"corrupt file (row {lineno} has {len(row)} fields): {path}")
-            rows.append(dict(zip(header, row)))
-    return rows
+                raise ValueError(f"corrupt file (line {reader.line_num} has {len(row)} fields,"
+                                 f" expected {len(header)}): {path}")
+            yield row
 
 
 def cmd_verify(args) -> int:
     out_dir = Path(args.out or os.environ.get("FLMECH_OUT") or "out")
     manifest_path = out_dir / "manifest.json"
-    if not manifest_path.exists():
-        print(f"error: no manifest.json in {out_dir}", file=sys.stderr)
-        return 2
-    manifest = json.loads(manifest_path.read_text())
-    cfg_dict = manifest["config"]
-    pool = cfg_dict["reward_pool"]
-    k = cfg_dict["committee_size"]
-    bonus = cfg_dict["committee_bonus"]
-    r_max_early = cfg_dict["r_max_early"]
-    r_max_late = cfg_dict["r_max_late"]
-    switch_round = cfg_dict["r_max_switch_round"]
-
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(name: str, ok: bool, detail: str = ""):
-        checks.append((name, ok, detail))
-
     try:
-        hash_ok, bad = True, []
-        for name, digest in manifest["files"].items():
-            path = out_dir / name
-            if not path.exists():
-                raise FileNotFoundError(f"missing file: {path}")
-            if _sha256(path) != digest:
-                hash_ok = False
-                bad.append(name)
-        check("file_hashes_match_manifest", hash_ok, ", ".join(bad))
+        manifest = json.loads(manifest_path.read_text())
+        cfg = config_from_dict(manifest["config"])
+        digests = dict(manifest["files"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad manifest {manifest_path}: {type(exc).__name__}: {exc}") from None
 
-        rows = _read_csv(out_dir / "rounds.csv", ROUNDS_COLUMNS)
-        _read_csv(out_dir / "metrics.csv", METRICS_COLUMNS)
-
-        per_round_paid: dict[int, float] = {}
-        conservation_ok, caps_ok, override_ok = True, True, True
-        committee_rounds: dict[int, list[int]] = {}
-        for row in rows:
-            t = int(row["round"])
-            reward = float(row["reward"])
+    per_round_paid: dict[int, float] = {}
+    caps_ok, override_ok = True, True
+    committee_rounds: dict[int, list[int]] = {}
+    try:
+        bad = [name for name, digest in digests.items() if _sha256(out_dir / name) != digest]
+        for (t, node, _role, contribution, _tau, _quality, rep, _penalty, reward,
+             committee, _detected) in _csv_rows(out_dir / "rounds.csv", ROUNDS_COLUMNS):
+            t, reward, rep = int(t), float(reward), float(rep)
             per_round_paid[t] = per_round_paid.get(t, 0.0) + reward
-            rep = float(row["reputation"])
-            cap = r_max_early if t <= switch_round else r_max_late
-            if rep < 0 or rep > cap + 1e-9:
-                caps_ok = False
-            if float(row["contribution"]) == 0.0 and reward != 0.0:
-                override_ok = False
-            if int(row["committee"]):
-                committee_rounds.setdefault(int(row["node_id"]), []).append(t)
-        bound = pool + k * bonus
-        for t, paid in per_round_paid.items():
-            if paid > bound + 1e-9:
-                conservation_ok = False
-        consecutive_ok = True
-        for ts in committee_rounds.values():
-            ts = sorted(ts)
-            if any(b - a <= 1 for a, b in zip(ts, ts[1:])):
-                consecutive_ok = False
-        check(f"reward_conservation_per_round (<= {bound})", conservation_ok)
-        check("reputation_within_caps", caps_ok)
-        check("zero_contribution_zero_reward", override_ok)
-        check("no_consecutive_committee_membership", consecutive_ok)
+            caps_ok = caps_ok and 0.0 <= rep <= cfg.r_max(t) + 1e-9
+            override_ok = override_ok and (float(contribution) != 0.0 or reward == 0.0)
+            if int(committee):
+                committee_rounds.setdefault(int(node), []).append(t)
+        for _ in _csv_rows(out_dir / "metrics.csv", METRICS_COLUMNS):
+            pass
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    failures = [name for name, ok, _ in checks if not ok]
+    # Each check holds only when its comparison is true, so a NaN fails it.
+    bound = cfg.reward_pool + cfg.committee_size * cfg.committee_bonus
+    checks = [
+        ("file_hashes_match_manifest", not bad, ", ".join(bad)),
+        (f"reward_conservation_per_round (<= {bound})",
+         all(paid <= bound + 1e-9 for paid in per_round_paid.values()), ""),
+        ("reputation_within_caps", caps_ok, ""),
+        ("zero_contribution_zero_reward", override_ok, ""),
+        ("no_consecutive_committee_membership",
+         all(b - a > 1 for ts in map(sorted, committee_rounds.values())
+             for a, b in zip(ts, ts[1:])), ""),
+    ]
     for name, ok, detail in checks:
         suffix = f" ({detail})" if detail and not ok else ""
         print(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")
-    return 1 if failures else 0
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

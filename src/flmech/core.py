@@ -10,7 +10,7 @@ import zlib
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -134,6 +134,10 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     just the first).
     """
     problems = []
+    for f in fields(SystemConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"{f.name}: must be finite")
     if cfg.strata < 1:
         problems.append("strata: L must be >= 1")
     if cfg.n_nodes < 1:
@@ -189,42 +193,41 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
 
 
 def _parse_value(name: str, raw: str):
-    """Parse a config-file value according to the target field's type."""
+    """Parse a config value by the declared type of field `name`.
+
+    int and float fields take numbers, bool fields only `true`/`false`, and
+    Optional fields also `none`/`null`/empty; anything else is a ConfigError.
+    """
     raw = raw.strip()
-    if raw.lower() in ("none", "null", ""):
-        return None
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    fld = _CONFIG_FIELDS[name]
-    if fld.type in ("int", int):
-        return int(raw)
-    if fld.type in ("float", float):
-        return float(raw)
-    if fld.type in ("bool", bool):
-        return raw.lower() == "true"
-    # Optional[float] / Optional[int] and similar: try numeric forms
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
+    word = raw.lower()
+    kind = _CONFIG_FIELDS[name].type
+    if type(None) in get_args(kind):  # Optional[X]
+        if word in ("none", "null", ""):
+            return None
+        kind = get_args(kind)[0]
+    if name == "attack_schedule":
+        return _parse_schedule(raw)
+    if kind is bool:
+        if word in ("true", "false"):
+            return word == "true"
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name}: expected {kind.__name__}, got '{raw}'")
 
 
 def _parse_schedule(raw: str) -> list[tuple[int, int, str]]:
     """Parse `start:end:pattern` phase triples separated by commas."""
     phases = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"attack_schedule: bad phase '{chunk}', expected start:end:pattern")
-        phases.append((int(parts[0]), int(parts[1]), parts[2].strip()))
+    for chunk in filter(None, map(str.strip, raw.split(","))):
+        try:
+            start, end, pattern = chunk.split(":")
+            phases.append((int(start), int(end), pattern.strip()))
+        except ValueError:
+            raise ConfigError(f"attack_schedule: bad phase '{chunk}',"
+                              " expected start:end:pattern") from None
     return phases
 
 
@@ -246,10 +249,7 @@ def load_config(path: str | Path) -> SystemConfig:
         key = key.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
-        if key == "attack_schedule":
-            overrides[key] = _parse_schedule(raw)
-        else:
-            overrides[key] = _parse_value(key, raw)
+        overrides[key] = _parse_value(key, raw)
     return validate_config(replace(SystemConfig(), **overrides))
 
 
@@ -262,6 +262,25 @@ def config_to_dict(cfg: SystemConfig) -> dict:
             v = [list(p) for p in v]
         out[f.name] = v
     return out
+
+
+def config_from_dict(data: dict) -> SystemConfig:
+    """Validated inverse of config_to_dict.
+
+    Each value is read back through the config-file grammar, so a dict (a
+    manifest's, say) cannot hold a value that a config file could not.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a mapping, got {type(data).__name__}")
+    values = {}
+    for key, value in data.items():
+        if key not in _CONFIG_FIELDS:
+            raise ConfigError(f"unknown config key '{key}'")
+        if (key == "attack_schedule" and isinstance(value, list)
+                and all(isinstance(phase, list) for phase in value)):
+            value = ",".join(":".join(map(str, phase)) for phase in value)
+        values[key] = _parse_value(key, str(value))
+    return validate_config(replace(SystemConfig(), **values))
 
 
 class RngStream:

@@ -1,6 +1,7 @@
 """CLI contract: file schemas, exit codes, determinism, verify checks."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -26,6 +27,13 @@ def fast_config(tmp_path):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def rehash_rounds(out):
+    # keep the hash check quiet about an edit to rounds.csv so the other checks run
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["files"]["rounds.csv"] = hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
 
 
 def test_simulate_writes_expected_files(fast_config, tmp_path):
@@ -182,16 +190,27 @@ def test_verify_detects_conservation_violation(fast_config, tmp_path, capsys):
     first[reward_col] = "99999.0"  # exceeds pool + committee bonuses
     rounds[1] = ",".join(first)
     (out / "rounds.csv").write_text("\n".join(rounds) + "\n")
-    # keep the hash check quiet about the edit so the invariant check runs
-    manifest = json.loads((out / "manifest.json").read_text())
-    import hashlib
-    manifest["files"]["rounds.csv"] = hashlib.sha256(
-        (out / "rounds.csv").read_bytes()).hexdigest()
-    (out / "manifest.json").write_text(json.dumps(manifest))
+    rehash_rounds(out)
 
     assert main(["verify", "--out", str(out)]) == 1
     report = capsys.readouterr().out
     assert "FAIL reward_conservation_per_round" in report
+
+
+def test_verify_fails_nan_reward_and_reputation(fast_config, tmp_path, capsys):
+    out = tmp_path / "vn"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    rounds = (out / "rounds.csv").read_text().splitlines()
+    row = rounds[1].split(",")
+    row[ROUNDS_COLUMNS.index("reward")] = "nan"
+    row[ROUNDS_COLUMNS.index("reputation")] = "nan"
+    rounds[1] = ",".join(row)
+    (out / "rounds.csv").write_text("\n".join(rounds) + "\n")
+    rehash_rounds(out)
+    assert main(["verify", "--out", str(out)]) == 1
+    report = capsys.readouterr().out
+    assert "FAIL reward_conservation_per_round" in report
+    assert "FAIL reputation_within_caps" in report
 
 
 def test_verify_detects_hash_mismatch(fast_config, tmp_path, capsys):
@@ -208,11 +227,7 @@ def test_verify_truncated_csv_reports_corrupt(fast_config, tmp_path, capsys):
     lines = (out / "rounds.csv").read_text().splitlines()
     truncated = "\n".join(lines[:5] + [lines[5][: len(lines[5]) // 2]])
     (out / "rounds.csv").write_text(truncated)
-    manifest = json.loads((out / "manifest.json").read_text())
-    import hashlib
-    manifest["files"]["rounds.csv"] = hashlib.sha256(
-        (out / "rounds.csv").read_bytes()).hexdigest()
-    (out / "manifest.json").write_text(json.dumps(manifest))
+    rehash_rounds(out)
     assert main(["verify", "--out", str(out)]) == 1
     assert "corrupt file" in capsys.readouterr().err
 
@@ -220,3 +235,44 @@ def test_verify_truncated_csv_reports_corrupt(fast_config, tmp_path, capsys):
 def test_verify_missing_manifest_exits_2(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path / "empty")]) == 2
     assert "manifest" in capsys.readouterr().err
+
+
+def _config_file_case(text):
+    def argv(tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        return ["simulate", "--config", str(path), "--out", str(tmp_path / "o")]
+    return pytest.param(argv, id=text.replace("\n", "; "))
+
+
+def _sweep_case(*flags):
+    return pytest.param(lambda tmp_path: ["sweep", *flags, "--out", str(tmp_path / "o")],
+                        id=" ".join(flags))
+
+
+def _manifest_case(text, name):
+    def argv(tmp_path):
+        (tmp_path / "manifest.json").write_text(text)
+        return ["verify", "--out", str(tmp_path)]
+    return pytest.param(argv, id=name)
+
+
+@pytest.mark.parametrize("make_argv", [
+    *map(_config_file_case, [
+        "t_max = abc", "seed = 1.5", "reward_pool = none", "reward_pool = nan",
+        "contract_accounting = yes",
+        # a bool read as an int would make a valid population of one here
+        "committee_size = 1\nn_nodes = true",
+        "attack_schedule = 0:90:bogus", "rounds = 3"]),
+    _sweep_case("--grid", "n_nodes=abc"),
+    _sweep_case("--seeds", "5:2"),
+    _sweep_case("--seeds", "abc"),
+    _manifest_case("{not json", "manifest not JSON"),
+    _manifest_case(json.dumps({"files": {}}), "manifest without config"),
+])
+def test_bad_input_exits_2_with_one_error_line(make_argv, tmp_path, capsys):
+    assert main(make_argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # nothing is written for a rejected input
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())

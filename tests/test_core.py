@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import flmech
 from flmech.core import (
-    ConfigError, RngStream, Role, SystemConfig, init_population, load_config,
-    sigmoid, validate_config,
+    ConfigError, RngStream, Role, SystemConfig, config_from_dict, config_to_dict,
+    init_population, load_config, sigmoid, validate_config,
 )
 
 
@@ -114,6 +114,16 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.n_nodes == 20 and cfg.malicious_percent == 0.2 and cfg.rounds == 12
     assert cfg.t_max is None and cfg.contract_accounting is True
     assert cfg.attack_schedule == [(0, 5, "false_high"), (5, 12, "zero")]
+
+
+def test_config_from_dict_inverts_config_to_dict():
+    cfg = dataclasses.replace(SystemConfig(), t_max=2.0, rounds=12, contract_accounting=True,
+                              attack_schedule=[(0, 5, "false_high"), (5, 12, "zero")])
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    with pytest.raises(ConfigError, match="reward_pool: must be finite"):
+        config_from_dict({**config_to_dict(cfg), "reward_pool": math.nan})
+    with pytest.raises(ConfigError, match="n_nodes: expected int, got '30.0'"):
+        config_from_dict({**config_to_dict(cfg), "n_nodes": 30.0})
 
 
 def test_load_config_unknown_key(tmp_path):
