@@ -2,10 +2,10 @@
 federated-learning incentive mechanism."""
 
 from .core import (
-    ConfigError, DomainError, Node, RngStream, Role, RoundRecord, SystemConfig,
-    config_to_dict, init_population, load_config, sigmoid, validate_config,
+    ConfigError, DomainError, Node, PatternKind, RngStream, Role, RoundRecord, ScheduleError,
+    SystemConfig, attack_patterns, config_to_dict, init_population, load_config, sigmoid,
+    validate_config,
 )
-from .behavior import AttackSchedule, PatternKind, ScheduleError, default_schedule
 from .committee import CommitteeSelection, SampleError, select_committee, stratum_quota, update_cooldowns
 from .detection import DetectionReport, apply_penalties, detect, penalty
 from .engine import PublisherLedger, WorldState, new_world, run_round, run_simulation

@@ -160,12 +160,13 @@ def cmd_sweep(args) -> int:
     combos = [()]
     for key in keys:
         combos = [c + (v,) for c in combos for v in grid[key]]
+    # every grid point is checked before the first run, so a bad one writes nothing
+    point_cfgs = [validate_config(replace(cfg, **dict(zip(keys, combo)))) for combo in combos]
 
     header = keys + ["seed"] + METRICS_COLUMNS
     rows = []
     run_summaries = []
-    for combo in combos:
-        point_cfg = validate_config(replace(cfg, **dict(zip(keys, combo))))
+    for combo, point_cfg in zip(combos, point_cfgs):
         for seed in seeds:
             result = run_simulation(point_cfg, seed=seed)
             for metric_row in _metrics_rows(result):

@@ -11,8 +11,15 @@ must cover the effort cost. The publisher's objective is then
 i.e. contribution value, minus the pool payout, minus the rent left to the
 participant. Profit strictly decreases in R, so the rationality constraint
 R >= cost(C) binds at any optimum, and along that boundary the first-order
-condition is V'(C) = slope, the same balance the closed form solves. The
-solver is always validated against a dense grid oracle over (C, R).
+condition is V'(C) = slope. The solver maximizes this profit and is always
+validated against a dense grid oracle over (C, R).
+
+The closed form keeps the paper's formula, which solves a different balance,
+X_c * k * (1 - sigmoid(k*C)) = tau * slope with k = 1/c_max, not V'(C) =
+slope. At the defaults the two agree only while both optima sit at c_max,
+for reward_pool / n_nodes up to about 16.4. Above that the solver's optimum
+is interior (at reward_pool = 1800: 7.740 against the grid's 7.655) while
+the closed form stays at c_max up to about 22.4.
 """
 
 import math
@@ -212,10 +219,14 @@ class ClosedFormContribution:
 
 def optimal_contribution_closed_form(cfg: SystemConfig,
                                      ctx: Optional[ContractContext] = None) -> ClosedFormContribution:
-    """First-order-condition contribution level, clamped to [c_min, c_max].
+    """The paper's closed-form contribution level, clamped to [c_min, c_max].
 
-    The interior condition balances the marginal contribution value against
-    the marginal pool payout (reward_slope). With k = 1/c_max it reduces to
+    The interior condition is X_c * k * (1 - sigmoid(k*C)) = tau_time *
+    reward_slope with k = 1/c_max. That is not the first-order condition
+    V'(C) = reward_slope of relaxed_profit, which solve_constrained
+    maximizes, so the two differ once the solver's optimum leaves c_max (at
+    the defaults from reward_pool / n_nodes of about 16.4; at reward_pool =
+    1800 this gives C* = 10, the solver 7.740). It reduces to
     C = c_max * ln(x - 1) for the ratio
 
         x = contribution_bonus * k / (tau_time * reward_slope)
@@ -369,12 +380,11 @@ def solve_constrained(cfg: SystemConfig, ctx: Optional[ContractContext] = None,
     gap = abs(profit - grid_profit)
 
     item = ContractItem(type_index=1.0, contribution=c_star, stake=s_star, reward=r_star)
-    menu = ContractMenu(items=[item], probabilities=[1.0])
-    ir = check_IR(menu, cfg.gamma_c, cfg.stake_penalty_factor)
+    utility = participant_utility(item, 1.0, cfg.stake_penalty_factor, cfg.gamma_c)
 
     return OptimalSolution(
         c_star=c_star, s_star=s_star, r_star=r_star, profit=profit,
-        ir_satisfaction_rate=ir.satisfaction_rate, min_utility=ir.min_utility,
+        ir_satisfaction_rate=float(utility >= 0.0), min_utility=utility,
         diagnostics={
             "iterations": int(result.nit),
             "grid_c": grid_c, "grid_r": grid_r, "grid_profit": grid_profit,

@@ -19,6 +19,10 @@ class ConfigError(ValueError):
     """Raised by validate_config; message lists every violated constraint."""
 
 
+class ScheduleError(ConfigError):
+    """The attack schedule cannot run over the configured rounds."""
+
+
 class DomainError(ValueError):
     """An argument lies outside a function's mathematical domain."""
 
@@ -34,6 +38,13 @@ def sigmoid(x: float) -> float:
 class Role(Enum):
     HONEST = "honest"
     MALICIOUS = "malicious"
+
+
+class PatternKind(Enum):
+    NORMAL = "normal"
+    FALSE_HIGH = "false_high"
+    ZERO = "zero"
+    RANDOM_MIX = "random_mix"
 
 
 @dataclass
@@ -187,9 +198,54 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
             problems.append(f"{name}: must be non-negative")
     if cfg.t_max is not None and cfg.t_max <= 0:
         problems.append("t_max: must be positive when set")
+    try:
+        attack_patterns(cfg)
+    except ScheduleError as exc:
+        problems.append(str(exc))
     if problems:
         raise ConfigError("; ".join(problems))
     return cfg
+
+
+def attack_patterns(cfg: SystemConfig) -> list[PatternKind]:
+    """The malicious nodes' pattern for each round: index t holds round t's.
+
+    Without an explicit `attack_schedule` the canonical four-phase adversary
+    runs: false-high, zero, mixed, zero. For a 90-round run its boundaries
+    are {eta_switch, 30, 60, 90}; other spans keep the first boundary at
+    eta_switch and scale the later two proportionally (a phase may be
+    empty). An explicit table must name known patterns, and its phases
+    (start inclusive, end exclusive) must partition [0, rounds). A
+    zero-round run never consults the schedule and gets an empty list.
+
+    Raises ScheduleError for an unknown pattern name, phases that do not
+    partition the round span, or a default schedule with rounds < eta_switch.
+    """
+    rounds = cfg.rounds
+    if rounds == 0:
+        return []
+    if cfg.attack_schedule is None:
+        eta = cfg.eta_switch
+        if rounds < eta:
+            raise ScheduleError(f"rounds ({rounds}) must be >= eta_switch ({eta})")
+        b2 = max(eta, round(rounds * 30 / 90))
+        b3 = max(b2, round(rounds * 60 / 90))
+        return ([PatternKind.FALSE_HIGH] * eta + [PatternKind.ZERO] * (b2 - eta)
+                + [PatternKind.RANDOM_MIX] * (b3 - b2) + [PatternKind.ZERO] * (rounds - b3))
+    kinds = {kind.value: kind for kind in PatternKind}
+    patterns: list[PatternKind] = []
+    for start, end, name in cfg.attack_schedule:
+        if name not in kinds:
+            raise ScheduleError(f"attack_schedule: unknown pattern '{name}'"
+                                f" (expected one of {', '.join(kinds)})")
+        if start != len(patterns) or not start < end <= rounds:
+            raise ScheduleError(f"attack_schedule: phases must partition [0,{rounds});"
+                                f" bad phase [{start},{end})")
+        patterns += [kinds[name]] * (end - start)
+    if len(patterns) != rounds:
+        raise ScheduleError(f"attack_schedule: covers [0,{len(patterns)})"
+                            f" but config has {rounds} rounds")
+    return patterns
 
 
 def _parse_value(name: str, raw: str):

@@ -13,9 +13,12 @@ from dataclasses import dataclass, field, replace
 from . import committee as committee_mod
 from . import detection as detection_mod
 from . import reward as reward_mod
-from .behavior import AttackSchedule, PatternKind, schedule_from_config, sample_contribution
+from .behavior import sample_contribution
 from .contract import contribution_value
-from .core import Node, Role, RngStream, RoundRecord, SystemConfig, validate_config, init_population
+from .core import (
+    Node, PatternKind, Role, RngStream, RoundRecord, SystemConfig, attack_patterns,
+    init_population, validate_config,
+)
 from .metrics import gini, jain_index, mean
 from .reputation import quality, stability, update_reputation
 
@@ -30,10 +33,11 @@ class PublisherLedger:
 @dataclass
 class WorldState:
     """The whole simulation: config, population (node i at index i), attack
-    schedule, RNG, round counter, publisher ledger and per-round records."""
+    schedule (round t's malicious pattern at index t), RNG, round counter,
+    publisher ledger and per-round records."""
     cfg: SystemConfig
     nodes: list[Node]
-    schedule: AttackSchedule
+    schedule: list[PatternKind]
     rng: RngStream
     t: int = 0
     ledger: PublisherLedger = field(default_factory=PublisherLedger)
@@ -74,7 +78,7 @@ def new_world(cfg: SystemConfig, seed: int | None = None) -> WorldState:
     validate_config(cfg)
     rng = RngStream(cfg.seed if seed is None else seed)
     nodes = init_population(cfg, rng)
-    return WorldState(cfg=cfg, nodes=nodes, schedule=schedule_from_config(cfg), rng=rng)
+    return WorldState(cfg=cfg, nodes=nodes, schedule=attack_patterns(cfg), rng=rng)
 
 
 def collect_contributions(state: WorldState) -> tuple[list[float], list[float], list[int]]:
@@ -89,7 +93,7 @@ def collect_contributions(state: WorldState) -> tuple[list[float], list[float], 
     """
     cfg, t = state.cfg, state.t
     keep = cfg.window + 1
-    attack = state.schedule.pattern_at(t)
+    attack = state.schedule[t]
     contributions: list[float] = []
     completion_times: list[float] = []
     timeouts: list[int] = []

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from flmech.behavior import PatternKind, sample_contribution
+from flmech.behavior import sample_contribution
 from flmech.cli import main as cli_main
 from flmech.committee import select_committee, stratum_quota
 from flmech.contract import (
     default_contract_context, effort_cost, grid_oracle,
     optimal_contribution_closed_form, solve_constrained,
 )
-from flmech.core import Node, Role, SystemConfig, sigmoid
+from flmech.core import Node, PatternKind, Role, SystemConfig, sigmoid
 from flmech.engine import run_simulation
 from flmech.metrics import gini, jain_index
 

@@ -11,53 +11,49 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flmech.behavior import (
-    AttackSchedule, PatternKind, ScheduleError,
-    default_schedule, sample_contribution, schedule_from_config,
+from flmech.behavior import sample_contribution
+from flmech.core import (
+    ConfigError, PatternKind, ScheduleError, SystemConfig, attack_patterns, validate_config,
 )
-from flmech.core import SystemConfig
 
 CFG = SystemConfig()
+FALSE_HIGH, ZERO, RANDOM_MIX = PatternKind.FALSE_HIGH, PatternKind.ZERO, PatternKind.RANDOM_MIX
 
 
 def test_default_schedule_boundaries():
-    sched = default_schedule(CFG)
-    assert list(sched.phases) == [
-        (0, 5, PatternKind.FALSE_HIGH),
-        (5, 30, PatternKind.ZERO),
-        (30, 60, PatternKind.RANDOM_MIX),
-        (60, 90, PatternKind.ZERO),
-    ]
-    assert sched.pattern_at(0) is PatternKind.FALSE_HIGH
-    assert sched.pattern_at(29) is PatternKind.ZERO
-    assert sched.pattern_at(89) is PatternKind.ZERO
+    assert attack_patterns(CFG) == [FALSE_HIGH] * 5 + [ZERO] * 25 + [RANDOM_MIX] * 30 + [ZERO] * 30
 
 
 def test_default_schedule_degenerate_single_phase():
     cfg = dataclasses.replace(CFG, rounds=5, eta_switch=5)
-    sched = default_schedule(cfg)
-    assert list(sched.phases) == [(0, 5, PatternKind.FALSE_HIGH)]
+    assert attack_patterns(cfg) == [FALSE_HIGH] * 5
 
 
 def test_default_schedule_too_few_rounds():
+    cfg = dataclasses.replace(CFG, rounds=4, eta_switch=5)
     with pytest.raises(ScheduleError):
-        default_schedule(dataclasses.replace(CFG, rounds=4, eta_switch=5))
+        attack_patterns(cfg)
+    with pytest.raises(ConfigError, match="eta_switch"):
+        validate_config(cfg)
 
 
 def test_schedule_partition_enforced():
-    p = PatternKind.ZERO
-    with pytest.raises(ScheduleError):
-        AttackSchedule(((0, 5, p), (6, 10, p)))  # gap
-    with pytest.raises(ScheduleError):
-        AttackSchedule(((0, 5, p), (4, 10, p)))  # overlap
+    for phases in ([(0, 5, "zero"), (6, 10, "zero")],                   # gap
+                   [(0, 5, "zero"), (4, 10, "zero")],                   # overlap
+                   [(0, 5, "zero"), (5, 5, "zero"), (5, 10, "zero")],   # empty phase
+                   [(0, 5, "zero")],                                    # stops short of the run
+                   [(0, 5, "zero"), (5, 11, "zero")]):                  # runs past it
+        cfg = dataclasses.replace(CFG, rounds=10, attack_schedule=phases)
+        with pytest.raises(ScheduleError):
+            attack_patterns(cfg)
+        with pytest.raises(ConfigError, match="attack_schedule"):
+            validate_config(cfg)
 
 
 def test_schedule_from_config_override():
     cfg = dataclasses.replace(CFG, rounds=10,
                               attack_schedule=[(0, 4, "zero"), (4, 10, "random_mix")])
-    sched = schedule_from_config(cfg)
-    assert sched.pattern_at(3) is PatternKind.ZERO
-    assert sched.pattern_at(4) is PatternKind.RANDOM_MIX
+    assert attack_patterns(cfg) == [ZERO] * 4 + [RANDOM_MIX] * 6
 
 
 def test_zero_pattern_always_zero():

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from flmech import cli
 from flmech.cli import METRICS_COLUMNS, ROUNDS_COLUMNS, main
+from flmech.engine import run_simulation
 
 FAST_CONFIG = (
     "n_nodes = 30\n"
@@ -139,6 +141,27 @@ def test_sweep_rejects_unknown_key_before_running(fast_config, tmp_path, capsys)
     assert not (out / "sweep.csv").exists()
 
 
+def test_sweep_checks_every_grid_point_before_running(tmp_path, monkeypatch, capsys):
+    # the base config is valid; the rounds=30 point cuts the 90-round schedule short
+    cfg = tmp_path / "sched.cfg"
+    cfg.write_text("n_nodes = 30\nattack_schedule = 0:5:false_high, 5:90:zero\n")
+    calls = []
+
+    def counted_run(*args, **kwargs):
+        calls.append(args)
+        return run_simulation(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", counted_run)
+    out = tmp_path / "sweep_sched"
+    rc = main(["sweep", "--config", str(cfg), "--grid", "rounds=90,30",
+               "--seeds", "0:2", "--out", str(out)])
+    assert rc == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
 def test_seed_range_syntax(fast_config, tmp_path):
     out = tmp_path / "range"
     assert main(["sweep", "--config", str(fast_config), "--seeds", "0:3",
@@ -159,8 +182,9 @@ def test_contract_opt_json(capsys):
 
 
 def test_contract_opt_degenerate_stake_is_one_line_error(tmp_path, capsys):
-    # from reward_pool / n_nodes = 24 up the stake equation has no positive
-    # solution: an error line and exit 1, never a traceback or a NaN stake
+    # from reward_pool / n_nodes of about 18.7 up the solver's stake equation
+    # has no positive solution: an error line and exit 1, never a traceback
+    # or a NaN stake
     for pool in (2400, 4800):
         cfg = tmp_path / f"pool{pool}.cfg"
         cfg.write_text(f"reward_pool = {pool}\nn_nodes = 100\n")
@@ -237,12 +261,13 @@ def test_verify_missing_manifest_exits_2(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
-def _config_file_case(text):
+def _config_file_case(text, command="simulate"):
     def argv(tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(text + "\n")
-        return ["simulate", "--config", str(path), "--out", str(tmp_path / "o")]
-    return pytest.param(argv, id=text.replace("\n", "; "))
+        return [command, "--config", str(path), "--out", str(tmp_path / "o")]
+    prefix = "" if command == "simulate" else f"{command} "
+    return pytest.param(argv, id=prefix + text.replace("\n", "; "))
 
 
 def _sweep_case(*flags):
@@ -264,11 +289,17 @@ def _manifest_case(text, name):
         # a bool read as an int would make a valid population of one here
         "committee_size = 1\nn_nodes = true",
         "attack_schedule = 0:90:bogus", "rounds = 3"]),
+    # a schedule that cannot run is rejected by every subcommand, not only by
+    # the ones that run it
+    _config_file_case("attack_schedule = 0:90:bogus", "contract-opt"),
+    _config_file_case("rounds = 3", "contract-opt"),
     _sweep_case("--grid", "n_nodes=abc"),
     _sweep_case("--seeds", "5:2"),
     _sweep_case("--seeds", "abc"),
     _manifest_case("{not json", "manifest not JSON"),
     _manifest_case(json.dumps({"files": {}}), "manifest without config"),
+    _manifest_case(json.dumps({"config": {"attack_schedule": [[0, 90, "bogus"]]}, "files": {}}),
+                   "manifest with pattern bogus"),
 ])
 def test_bad_input_exits_2_with_one_error_line(make_argv, tmp_path, capsys):
     assert main(make_argv(tmp_path)) == 2

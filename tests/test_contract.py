@@ -16,7 +16,7 @@ from flmech.contract import (
     DegenerateContract, ProbabilityError, check_IC, check_IR, compliance,
     contribution_value, default_contract_context, effort_cost, expected_profit,
     grid_oracle, optimal_contract_closed_form, optimal_contribution_closed_form,
-    participant_utility, publisher_profit, solve_constrained,
+    participant_utility, publisher_profit, reward_slope, solve_constrained,
 )
 from flmech.core import DomainError, SystemConfig, sigmoid
 
@@ -263,6 +263,25 @@ def test_solver_tightened_bound():
     assert sol.s_star > 0.0
     assert sol.ir_satisfaction_rate == 1.0
     assert sol.diagnostics["grid_gap"] <= 1e-3
+
+
+def test_solver_interior_optimum():
+    # at reward_pool = 1800 the payout slope 1.08 lies between the marginal
+    # value V'(C) = 5 * sigmoid(u)(1 - sigmoid(u)), u = C / c_max, at c_max
+    # (about 0.98) and at c_min (1.25), so the optimum is the root of
+    # V'(C) = slope inside (c_min, c_max): sigmoid(u)(1 - sigmoid(u)) = 1/x
+    cfg = dataclasses.replace(CFG, reward_pool=1800.0)
+    x = cfg.contribution_bonus / cfg.c_max / reward_slope(cfg, default_contract_context(cfg))
+    s = (1.0 + math.sqrt(1.0 - 4.0 / x)) / 2.0
+    root = cfg.c_max * math.log(s / (1.0 - s))
+    assert root == pytest.approx(7.7402, abs=1e-4)
+    sol = solve_constrained(cfg)
+    assert cfg.c_min < sol.c_star < cfg.c_max
+    assert abs(sol.c_star - root) <= 1e-2
+    assert sol.diagnostics["grid_gap"] <= 1e-3
+    assert sol.ir_satisfaction_rate == 1.0 and sol.min_utility > 0.0
+    # the closed form solves another balance and stays at the ceiling here
+    assert optimal_contribution_closed_form(cfg).c_star == cfg.c_max
 
 
 def test_grid_oracle_exact_corner():
