@@ -11,8 +11,12 @@ must cover the effort cost. The publisher's objective is then
 i.e. contribution value, minus the pool payout, minus the rent left to the
 participant. Profit strictly decreases in R, so the rationality constraint
 R >= cost(C) binds at any optimum, and along that boundary the first-order
-condition is V'(C) = slope. The solver maximizes this profit and is always
-validated against a dense grid oracle over (C, R).
+condition is V'(C) = slope. The solver maximizes this profit and reports
+its distance from the exact optimum over a dense 2001x2001 (C, R) grid as
+diagnostics["grid_gap"]; the grid oracle finds that optimum with one
+searchsorted per grid C. The solver does not check the gap itself: callers
+that need the solver's answer trusted (the acceptance suite, the tests and
+the benchmark) require it to be at most 1e-3.
 
 The closed form keeps the paper's formula, which solves a different balance,
 X_c * k * (1 - sigmoid(k*C)) = tau * slope with k = 1/c_max, not V'(C) =
@@ -27,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .core import DomainError, SystemConfig, sigmoid
 
@@ -311,10 +314,15 @@ def relaxed_profit(c: float, r: float, cfg: SystemConfig, ctx: ContractContext) 
 def grid_oracle(cfg: SystemConfig, ctx: ContractContext,
                 c_bounds: tuple[float, float], r_bounds: tuple[float, float],
                 points_per_axis: int = 2001) -> tuple[float, float, float]:
-    """Dense feasible-grid maximum of relaxed_profit with R >= cost(C).
+    """Exact maximum of relaxed_profit with R >= cost(C) over a dense grid.
 
-    Returns (C, R, profit) at the best grid point. The grid includes both
-    endpoints on each axis; with 2001 points the step is range/2000.
+    The grid has points_per_axis points on each axis, both endpoints
+    included, and r_bounds must be ascending; with 2001 points the step is
+    range/2000. Profit falls in R, so the best feasible R for a grid C is
+    the first grid R >= cost(C), found by one searchsorted per C; the answer
+    equals the argmax over the full (C, R) grid, ties going to the first
+    point in row-major order. Returns (C, R, profit) at that point, or
+    (C[0], R[0], -inf) when no grid point is feasible.
     """
     cs = np.linspace(c_bounds[0], c_bounds[1], points_per_axis)
     rs = np.linspace(r_bounds[0], r_bounds[1], points_per_axis)
@@ -322,12 +330,12 @@ def grid_oracle(cfg: SystemConfig, ctx: ContractContext,
         1.0 + np.exp(-(cs - cfg.c_min) / (cfg.c_max - cfg.c_min)))
     costs = 0.5 * cfg.gamma_c * cs ** 2
     slope = reward_slope(cfg, ctx)
-    profit = (values - slope * cs + costs)[:, None] - rs[None, :]
-    feasible = rs[None, :] >= costs[:, None]
-    profit = np.where(feasible, profit, -np.inf)
-    flat = int(np.argmax(profit))
-    i, j = divmod(flat, points_per_axis)
-    return float(cs[i]), float(rs[j]), float(profit[i, j])
+    j = np.searchsorted(rs, costs)
+    feasible = j < points_per_axis
+    j = np.where(feasible, j, 0)        # an infeasible row reports R[0] with profit -inf
+    row_best = np.where(feasible, (values - slope * cs + costs) - rs[j], -np.inf)
+    i = int(np.argmax(row_best))
+    return float(cs[i]), float(rs[j[i]]), float(row_best[i])
 
 
 def solve_constrained(cfg: SystemConfig, ctx: Optional[ContractContext] = None,
@@ -335,14 +343,18 @@ def solve_constrained(cfg: SystemConfig, ctx: Optional[ContractContext] = None,
     """Maximize publisher profit subject to participant rationality.
 
     Runs SLSQP on -relaxed_profit with the inequality R - cost(C) >= 0 over
-    R in [0, 2 * cost(max C)], snaps the result onto the active bounds, and
-    validates it against the dense grid oracle. Profit strictly decreases in
+    R in [0, 2 * cost(max C)] and snaps the result onto the active bounds.
+    It reports, without enforcing a limit, the gap between its profit and
+    grid_oracle's exact optimum over the 2001-point grid on the same bounds
+    as diagnostics["grid_gap"]. Profit strictly decreases in
     R, so the rational-participation constraint binds at the optimum; the
     returned reward sits _IR_MARGIN above the cost so the participant's
     utility stays strictly positive. The stake comes from the same equation
     as the closed form and raises DegenerateContract where that has no
     positive solution.
     """
+    from scipy import optimize  # deferred: the simulator imports this module without solving
+
     if ctx is None:
         ctx = default_contract_context(cfg)
     if c_bounds is None:

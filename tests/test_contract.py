@@ -8,6 +8,7 @@ against the solver's answer.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -290,6 +291,62 @@ def test_grid_oracle_exact_corner():
     assert c == 10.0 and r == 25.0
     # value + cost - slope*C - R with the binding reward R = cost
     assert profit == pytest.approx(50.0 * sigmoid(1.0) - 7.2, rel=1e-12)
+
+
+def _grid_oracle_2d(cfg, ctx, c_bounds, r_bounds, points_per_axis=2001):
+    """Reference for grid_oracle: the argmax over the full (C, R) profit
+    surface with the infeasible points masked to -inf."""
+    cs = np.linspace(c_bounds[0], c_bounds[1], points_per_axis)
+    rs = np.linspace(r_bounds[0], r_bounds[1], points_per_axis)
+    values = (cfg.contribution_bonus / ctx.tau_time) / (
+        1.0 + np.exp(-(cs - cfg.c_min) / (cfg.c_max - cfg.c_min)))
+    costs = 0.5 * cfg.gamma_c * cs ** 2
+    slope = reward_slope(cfg, ctx)
+    profit = (values - slope * cs + costs)[:, None] - rs[None, :]
+    feasible = rs[None, :] >= costs[:, None]
+    profit = np.where(feasible, profit, -np.inf)
+    flat = int(np.argmax(profit))
+    i, j = divmod(flat, points_per_axis)
+    return float(cs[i]), float(rs[j]), float(profit[i, j])
+
+
+@st.composite
+def oracle_cases(draw):
+    cfg = dataclasses.replace(
+        CFG,
+        reward_pool=draw(st.floats(50.0, 3000.0)),
+        n_nodes=draw(st.integers(10, 1000)),
+        history_decay=draw(st.floats(0.05, 0.95)),
+        gamma_c=draw(st.floats(0.01, 5.0)),
+        contribution_bonus=draw(st.floats(1.0, 200.0)),
+    )
+    c_lo = draw(st.floats(0.0, 10.0))
+    c_bounds = (c_lo, c_lo + draw(st.floats(0.0, 10.0)))
+    cost_hi = 0.5 * cfg.gamma_c * c_bounds[1] ** 2
+    # r_hi from well below to well above the largest cost, so that some or
+    # all rows have no feasible R; r_lo at or below r_hi
+    r_hi = cost_hi * draw(st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.5, 2.0])) \
+        + draw(st.floats(0.0, 1.0))
+    r_bounds = (r_hi - draw(st.floats(0.0, 1.0)) * (r_hi + 1.0), r_hi)
+    points = draw(st.one_of(st.integers(2, 50), st.integers(51, 400)))
+    return cfg, c_bounds, r_bounds, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=oracle_cases())
+def test_grid_oracle_matches_2d_reference(case):
+    cfg, c_bounds, r_bounds, points = case
+    ctx = default_contract_context(cfg)
+    assert grid_oracle(cfg, ctx, c_bounds, r_bounds, points) == \
+        _grid_oracle_2d(cfg, ctx, c_bounds, r_bounds, points)
+
+
+def test_grid_oracle_all_rows_infeasible():
+    # R capped below every cost of C in [1, 2]: no feasible grid point
+    ctx = default_contract_context(CFG)
+    result = grid_oracle(CFG, ctx, (1.0, 2.0), (0.0, 0.1), 11)
+    assert result == (1.0, 0.0, -math.inf)
+    assert result == _grid_oracle_2d(CFG, ctx, (1.0, 2.0), (0.0, 0.1), 11)
 
 
 def test_closed_form_agrees_with_solver():

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +231,19 @@ def test_mechanism_never_reads_role_tag():
     b = run_simulation(tagged_cfg, seed=13)
     assert sum(nd.role is Role.MALICIOUS for nd in b.nodes) == 15
     assert record_bytes(a.records) == record_bytes(b.records)
+
+
+def test_simulation_does_not_import_scipy():
+    # only solve_constrained needs scipy; a fresh interpreter that imports the
+    # package and runs the simulator must not pay for loading it
+    code = ("import sys, dataclasses, flmech\n"
+            "cfg = dataclasses.replace(flmech.SystemConfig(), n_nodes=20, rounds=8, eta_switch=3)\n"
+            "flmech.run_simulation(cfg, seed=0)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

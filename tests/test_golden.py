@@ -1,10 +1,12 @@
-"""Golden trace: the exact bytes `flmech simulate` writes for two pinned runs.
+"""Golden trace: the exact bytes `flmech simulate` writes for two pinned runs,
+and the `contract.json` that `flmech contract-opt` writes for two configs.
 
 Criterion 9 only compares two runs from one checkout; these hashes catch a
 change to any output byte across commits. Re-pin them only in a change that
 deliberately alters the output contract (RNG layout, summation order, CSV
 formatting) and records that in CHANGES.md. Pinned with Python 3.11 and
-numpy 2.4.
+numpy 2.4; the contract hashes also pin scipy 1.17, whose SLSQP iteration
+count and message `contract.json` records.
 """
 
 import hashlib
@@ -45,3 +47,27 @@ def test_simulate_output_matches_golden_hashes(name, tmp_path):
     assert main(argv) == 0
     actual = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in expected}
     assert actual == expected
+
+
+CONTRACT_GOLDEN = {
+    # built-in defaults: the solver's optimum sits at the c_max corner
+    "default": (
+        "",
+        "61ed6f59ff129b04f0eac88be9de57b81eef414209bee72d4a89d532edf8b243",
+    ),
+    # interior optimum, where the grid oracle's answer lies inside the grid
+    "reward_pool_1800": (
+        "reward_pool = 1800\n",
+        "e5f87392dae3328e804a01cd862e08e99cadd20683de338c7ee041980b76195a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GOLDEN))
+def test_contract_opt_output_matches_golden_hash(name, tmp_path):
+    text, expected = CONTRACT_GOLDEN[name]
+    cfg_path = tmp_path / "contract.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["contract-opt", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "contract.json").read_bytes()).hexdigest() == expected
