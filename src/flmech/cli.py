@@ -6,7 +6,8 @@ Subcommands:
   contract-opt  solve the optimal-contract problem and print a JSON report
   verify        recheck the invariant suite over a simulate output directory
 
-Exit codes: 0 success, 1 invariant or solver failure, 2 usage/config error.
+Exit codes: 0 success, 1 invariant failure or a contract without a positive
+stake, 2 usage/config error.
 The output directory can also be set with the FLMECH_OUT environment
 variable; an explicit --out wins.
 """
@@ -15,15 +16,16 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .contract import DegenerateContract, SolverError, optimal_contract_closed_form, solve_constrained
+from .contract import DegenerateContract, optimal_contract_closed_form, solve_constrained
 from .core import (
-    _CONFIG_FIELDS, ConfigError, Role, SystemConfig, _parse_value, config_from_dict, config_to_dict,
-    load_config, validate_config,
+    _CONFIG_FIELDS, ConfigError, DomainError, Role, SystemConfig, _parse_value, config_from_dict,
+    config_to_dict, load_config, validate_config,
 )
 from .engine import WorldState, run_simulation
 from .metrics import mean
@@ -39,7 +41,7 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _load_cfg(config_path: str | None, seed: int | None) -> SystemConfig:
+def _load_cfg(config_path: str | None, seed: int | None = None) -> SystemConfig:
     cfg = load_config(config_path) if config_path else validate_config(SystemConfig())
     if seed is not None:
         cfg = replace(cfg, seed=seed)
@@ -151,7 +153,7 @@ def _parse_seeds(raw: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_cfg(args.config, None)
+    cfg = _load_cfg(args.config)
     grid = _parse_grid(args.grid)
     seeds = _parse_seeds(args.seeds)
     out_dir = _resolve_out(args)
@@ -191,7 +193,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_contract_opt(args) -> int:
-    cfg = _load_cfg(args.config, args.seed)
+    cfg = _load_cfg(args.config)
     solution = solve_constrained(cfg)
     closed = optimal_contract_closed_form(cfg)
     doc = {
@@ -239,20 +241,22 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"bad manifest {manifest_path}: {type(exc).__name__}: {exc}") from None
 
     per_round_paid: dict[int, float] = {}
-    caps_ok, override_ok = True, True
+    caps_ok, override_ok, finite_ok = True, True, True
     committee_rounds: dict[int, list[int]] = {}
     try:
         bad = [name for name, digest in digests.items() if _sha256(out_dir / name) != digest]
-        for (t, node, _role, contribution, _tau, _quality, rep, _penalty, reward,
-             committee, _detected) in _csv_rows(out_dir / "rounds.csv", ROUNDS_COLUMNS):
+        for row in _csv_rows(out_dir / "rounds.csv", ROUNDS_COLUMNS):
+            t, node, _role, contribution, _tau, _quality, rep, _penalty, reward, committee, _ = row
             t, reward, rep = int(t), float(reward), float(rep)
             per_round_paid[t] = per_round_paid.get(t, 0.0) + reward
             caps_ok = caps_ok and 0.0 <= rep <= cfg.r_max(t) + 1e-9
             override_ok = override_ok and (float(contribution) != 0.0 or reward == 0.0)
+            # round and node_id parse as integers, so they cannot be non-finite
+            finite_ok = finite_ok and all(map(math.isfinite, map(float, row[3:])))
             if int(committee):
                 committee_rounds.setdefault(int(node), []).append(t)
-        for _ in _csv_rows(out_dir / "metrics.csv", METRICS_COLUMNS):
-            pass
+        for row in _csv_rows(out_dir / "metrics.csv", METRICS_COLUMNS):
+            finite_ok = finite_ok and all(map(math.isfinite, map(float, row)))
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -265,9 +269,10 @@ def cmd_verify(args) -> int:
          all(paid <= bound + 1e-9 for paid in per_round_paid.values()), ""),
         ("reputation_within_caps", caps_ok, ""),
         ("zero_contribution_zero_reward", override_ok, ""),
-        ("no_consecutive_committee_membership",
-         all(b - a > 1 for ts in map(sorted, committee_rounds.values())
+        (f"committee_gap_exceeds_cooldown (> {cfg.cooldown_period})",
+         all(b - a > cfg.cooldown_period for ts in map(sorted, committee_rounds.values())
              for a, b in zip(ts, ts[1:])), ""),
+        ("numeric_cells_finite", finite_ok, ""),
     ]
     for name, ok, detail in checks:
         suffix = f" ({detail})" if detail and not ok else ""
@@ -297,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     copt = sub.add_parser("contract-opt", help="solve the optimal contract")
     copt.add_argument("--config", help="config file")
-    copt.add_argument("--seed", type=int, help="override the config seed")
     copt.add_argument("--out", help="also write contract.json + manifest here")
     copt.set_defaults(func=cmd_contract_opt)
 
@@ -312,10 +316,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, DegenerateContract) as exc:
+    except DegenerateContract as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,5 @@
 """Contract economics: contribution value, utility and profit, IR/IC checks,
-the closed-form optimal contract, and a constrained numerical solver.
+the closed-form optimal contract, and the exact optimum of the relaxed problem.
 
 The relaxed single-participant problem treats the per-round pool payout as a
 linear function of the contribution (slope = marginal decayed-history share
@@ -10,9 +10,10 @@ must cover the effort cost. The publisher's objective is then
 
 i.e. contribution value, minus the pool payout, minus the rent left to the
 participant. Profit strictly decreases in R, so the rationality constraint
-R >= cost(C) binds at any optimum, and along that boundary the first-order
-condition is V'(C) = slope. The solver maximizes this profit and reports
-its distance from the exact optimum over a dense 2001x2001 (C, R) grid as
+R >= cost(C) binds at any optimum, and what remains is the one-dimensional
+maximum of V(C) - slope * C, whose first-order condition is V'(C) = slope.
+solve_constrained finds that maximum in closed form and reports its
+distance from the optimum over a dense 2001x2001 (C, R) grid as
 diagnostics["grid_gap"]; the grid oracle finds that optimum with one
 searchsorted per grid C. The solver does not check the gap itself: callers
 that need the solver's answer trusted (the acceptance suite, the tests and
@@ -44,11 +45,9 @@ class DegenerateContract(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The constrained solver failed to converge within its budget."""
+    """Kept for callers that import it: the exact solver never raises it."""
 
 
-_FTOL = 1e-9                # SLSQP objective tolerance
-_MAX_ITERATIONS = 10_000    # SLSQP iteration budget
 _IR_MARGIN = 1e-9           # reward above cost, so the participant's utility stays positive
 
 
@@ -340,50 +339,40 @@ def grid_oracle(cfg: SystemConfig, ctx: ContractContext,
 
 def solve_constrained(cfg: SystemConfig, ctx: Optional[ContractContext] = None,
                       c_bounds: Optional[tuple[float, float]] = None) -> OptimalSolution:
-    """Maximize publisher profit subject to participant rationality.
+    """Maximize publisher profit subject to participant rationality, exactly.
 
-    Runs SLSQP on -relaxed_profit with the inequality R - cost(C) >= 0 over
-    R in [0, 2 * cost(max C)] and snaps the result onto the active bounds.
-    It reports, without enforcing a limit, the gap between its profit and
-    grid_oracle's exact optimum over the 2001-point grid on the same bounds
-    as diagnostics["grid_gap"]. Profit strictly decreases in
-    R, so the rational-participation constraint binds at the optimum; the
-    returned reward sits _IR_MARGIN above the cost so the participant's
+    Profit strictly decreases in R, so the rational-participation constraint
+    binds and C* maximizes g(C) = V(C) - slope * C over c_bounds. With
+    u = (C - c_min) / span, V'(C) = X_c / (tau * span) * sigmoid(u) * (1 -
+    sigmoid(u)) falls where u >= 0 and rises below, so g is concave for
+    u >= 0 and convex below: its maximum is at a bound or at the one root of
+    V'(C) = slope with u >= 0. That root exists for 0 < y < 1/4, y =
+    slope * tau * span / X_c, where sigmoid(u) = (1 + sqrt(1 - 4y)) / 2.
+
+    The returned reward sits _IR_MARGIN above the cost so the participant's
     utility stays strictly positive. The stake comes from the same equation
     as the closed form and raises DegenerateContract where that has no
-    positive solution.
+    positive solution. diagnostics["grid_gap"] reports, without enforcing a
+    limit, the distance from grid_oracle's optimum over the 2001-point grid
+    on the same bounds, with R in [0, 2 * cost(max C)].
     """
-    from scipy import optimize  # deferred: the simulator imports this module without solving
-
     if ctx is None:
         ctx = default_contract_context(cfg)
     if c_bounds is None:
         c_bounds = (cfg.c_min, cfg.c_max)
     r_bounds = (0.0, 2.0 * effort_cost(c_bounds[1], cfg.gamma_c))
-
-    def neg_profit(v):
-        c, r = v
-        return -relaxed_profit(c, r, cfg, ctx)
-
-    def ir_constraint(v):
-        c, r = v
-        return r - effort_cost(c, cfg.gamma_c)
-
-    x0 = [0.5 * (c_bounds[0] + c_bounds[1]),
-          effort_cost(0.5 * (c_bounds[0] + c_bounds[1]), cfg.gamma_c) + 1.0]
-    result = optimize.minimize(
-        neg_profit, x0, method="SLSQP",
-        bounds=[c_bounds, r_bounds],
-        constraints=[{"type": "ineq", "fun": ir_constraint}],
-        options={"maxiter": _MAX_ITERATIONS, "ftol": _FTOL},
-    )
-    if not result.success and result.status != 8:  # 8: positive directional derivative at bound
-        raise SolverError(f"SLSQP failed after {result.nit} iterations: {result.message}")
-
-    c_star = min(c_bounds[1], max(c_bounds[0], float(result.x[0])))
-    for bound in c_bounds:
-        if abs(c_star - bound) <= 1e-6:
-            c_star = bound
+    span = cfg.c_max - cfg.c_min
+    candidates = list(c_bounds)
+    if cfg.contribution_bonus > 0:
+        y = reward_slope(cfg, ctx) * ctx.tau_time * span / cfg.contribution_bonus
+        if 0 < y < 0.25:
+            # u = ln(s / (1 - s)) with s = (1 + d) / 2 and 1 - s = 2y / (1 + d),
+            # written without the cancellation in 1 - s for small y
+            d = math.sqrt(1.0 - 4.0 * y)
+            root = cfg.c_min + span * (2.0 * math.log1p(d) - math.log(4.0 * y))
+            if c_bounds[0] < root < c_bounds[1]:
+                candidates.append(root)
+    c_star = max(candidates, key=lambda c: relaxed_profit(c, effort_cost(c, cfg.gamma_c), cfg, ctx))
     r_star = effort_cost(c_star, cfg.gamma_c) + _IR_MARGIN
     s_star = _stake(cfg, ctx, r_star)
     profit = relaxed_profit(c_star, r_star, cfg, ctx)
@@ -398,9 +387,8 @@ def solve_constrained(cfg: SystemConfig, ctx: Optional[ContractContext] = None,
         c_star=c_star, s_star=s_star, r_star=r_star, profit=profit,
         ir_satisfaction_rate=float(utility >= 0.0), min_utility=utility,
         diagnostics={
-            "iterations": int(result.nit),
+            "iterations": 0,    # no iterative search; the report keeps the key
             "grid_c": grid_c, "grid_r": grid_r, "grid_profit": grid_profit,
             "grid_gap": gap,
-            "solver_message": str(result.message),
         },
     )

@@ -31,11 +31,21 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-def rehash_rounds(out):
-    # keep the hash check quiet about an edit to rounds.csv so the other checks run
+def rehash(out, *names):
+    # keep the hash check quiet about an edit to these files so the other checks run
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["files"]["rounds.csv"] = hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest()
+    for name in names:
+        manifest["files"][name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
     (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def edit_first_row(path, **cells):
+    lines = path.read_text().splitlines()
+    header, row = lines[0].split(","), lines[1].split(",")
+    for column, value in cells.items():
+        row[header.index(column)] = value
+    lines[1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def test_simulate_writes_expected_files(fast_config, tmp_path):
@@ -181,6 +191,24 @@ def test_contract_opt_json(capsys):
     assert "grid_gap" in doc["diagnostics"]
 
 
+def test_contract_opt_optimum_at_c_max_with_small_stake(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("reward_pool = 1427.5165286701417\n"
+                   "contribution_bonus = 67.73715247317494\n"
+                   "gamma_c = 2.345058466210593\n"
+                   "c_min = 2.8061763599319045\n"
+                   "c_max = 15.992829497614988\n"
+                   "history_decay = 0.684698179985948\n")
+    out = tmp_path / "out"
+    assert main(["contract-opt", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["c_star"] == 15.992829497614988
+    assert doc["s_star"] > 0.0
+    assert doc["diagnostics"]["grid_gap"] <= 1e-3
+    # the manifest records the config's seed, the only one there is
+    assert json.loads((out / "manifest.json").read_text())["seeds"] == [42]
+
+
 def test_contract_opt_degenerate_stake_is_one_line_error(tmp_path, capsys):
     # from reward_pool / n_nodes of about 18.7 up the solver's stake equation
     # has no positive solution: an error line and exit 1, never a traceback
@@ -207,14 +235,8 @@ def test_verify_fresh_run_passes(fast_config, tmp_path, capsys):
 def test_verify_detects_conservation_violation(fast_config, tmp_path, capsys):
     out = tmp_path / "vc"
     main(["simulate", "--config", str(fast_config), "--out", str(out)])
-    rounds = (out / "rounds.csv").read_text().splitlines()
-    header = rounds[0].split(",")
-    reward_col = header.index("reward")
-    first = rounds[1].split(",")
-    first[reward_col] = "99999.0"  # exceeds pool + committee bonuses
-    rounds[1] = ",".join(first)
-    (out / "rounds.csv").write_text("\n".join(rounds) + "\n")
-    rehash_rounds(out)
+    edit_first_row(out / "rounds.csv", reward="99999.0")  # exceeds pool + committee bonuses
+    rehash(out, "rounds.csv")
 
     assert main(["verify", "--out", str(out)]) == 1
     report = capsys.readouterr().out
@@ -224,17 +246,51 @@ def test_verify_detects_conservation_violation(fast_config, tmp_path, capsys):
 def test_verify_fails_nan_reward_and_reputation(fast_config, tmp_path, capsys):
     out = tmp_path / "vn"
     main(["simulate", "--config", str(fast_config), "--out", str(out)])
-    rounds = (out / "rounds.csv").read_text().splitlines()
-    row = rounds[1].split(",")
-    row[ROUNDS_COLUMNS.index("reward")] = "nan"
-    row[ROUNDS_COLUMNS.index("reputation")] = "nan"
-    rounds[1] = ",".join(row)
-    (out / "rounds.csv").write_text("\n".join(rounds) + "\n")
-    rehash_rounds(out)
+    edit_first_row(out / "rounds.csv", reward="nan", reputation="nan")
+    rehash(out, "rounds.csv")
     assert main(["verify", "--out", str(out)]) == 1
     report = capsys.readouterr().out
     assert "FAIL reward_conservation_per_round" in report
     assert "FAIL reputation_within_caps" in report
+
+
+def test_verify_fails_nan_in_columns_no_other_check_reads(fast_config, tmp_path, capsys):
+    out = tmp_path / "vf"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    edit_first_row(out / "rounds.csv", contribution="nan", penalty="nan")
+    edit_first_row(out / "metrics.csv", jain="nan")
+    rehash(out, "rounds.csv", "metrics.csv")
+    assert main(["verify", "--out", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL numeric_cells_finite"]
+
+
+def test_verify_passes_without_cooldown(tmp_path, capsys):
+    # with cooldown_period = 0 a node may sit on consecutive committees
+    cfg = tmp_path / "cd0.cfg"
+    cfg.write_text("n_nodes = 10\nrounds = 12\ncooldown_period = 0\n")
+    out = tmp_path / "cd0"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", "--out", str(out)]) == 0
+    assert "PASS committee_gap_exceeds_cooldown (> 0)" in capsys.readouterr().out
+
+
+def test_verify_detects_committee_gap_within_cooldown(fast_config, tmp_path, capsys):
+    out = tmp_path / "vg"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    path = out / "rounds.csv"
+    rows = read_rows(path)
+    flag = ROUNDS_COLUMNS.index("committee")
+    t, node = next((int(r[0]), r[1]) for r in rows[1:] if r[flag] == "1")
+    # the same node back on a committee cooldown_period (3) rounds later
+    for r in rows[1:]:
+        if int(r[0]) == t + 3 and r[1] == node:
+            r[flag] = "1"
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    rehash(out, "rounds.csv")
+    assert main(["verify", "--out", str(out)]) == 1
+    assert "FAIL committee_gap_exceeds_cooldown (> 3)" in capsys.readouterr().out
 
 
 def test_verify_detects_hash_mismatch(fast_config, tmp_path, capsys):
@@ -251,7 +307,7 @@ def test_verify_truncated_csv_reports_corrupt(fast_config, tmp_path, capsys):
     lines = (out / "rounds.csv").read_text().splitlines()
     truncated = "\n".join(lines[:5] + [lines[5][: len(lines[5]) // 2]])
     (out / "rounds.csv").write_text(truncated)
-    rehash_rounds(out)
+    rehash(out, "rounds.csv")
     assert main(["verify", "--out", str(out)]) == 1
     assert "corrupt file" in capsys.readouterr().err
 
@@ -293,6 +349,9 @@ def _manifest_case(text, name):
     # the ones that run it
     _config_file_case("attack_schedule = 0:90:bogus", "contract-opt"),
     _config_file_case("rounds = 3", "contract-opt"),
+    # valid configs outside the closed form's domain
+    _config_file_case("reward_pool = 0", "contract-opt"),
+    _config_file_case("stake_weight = 1", "contract-opt"),
     _sweep_case("--grid", "n_nodes=abc"),
     _sweep_case("--seeds", "5:2"),
     _sweep_case("--seeds", "abc"),

@@ -1,6 +1,6 @@
 """Contract economics: values, utilities, IR/IC, closed form, solver.
 
-The numerical solver is never trusted alone: every solver assertion has the
+The exact solver is never trusted alone: every solver assertion has the
 dense-grid oracle next to it, and the closed-form route is cross-checked
 against the solver's answer.
 """
@@ -358,3 +358,50 @@ def test_closed_form_agrees_with_solver():
 def test_ir_binds_at_optimum():
     sol = solve_constrained(CFG)
     assert abs(sol.r_star - effort_cost(sol.c_star, CFG.gamma_c)) <= 1e-6
+
+
+@st.composite
+def solver_cases(draw):
+    c_min = draw(st.floats(0.0, 10.0))
+    cfg = dataclasses.replace(
+        CFG,
+        reward_pool=draw(st.floats(0.0, 3000.0)),
+        n_nodes=draw(st.integers(10, 1000)),
+        history_decay=draw(st.floats(0.05, 0.95)),
+        gamma_c=draw(st.floats(0.01, 5.0)),
+        contribution_bonus=draw(st.floats(0.0, 200.0)),
+        c_min=c_min,
+        c_max=c_min + draw(st.floats(0.1, 10.0)),
+    )
+    # bounds from below c_min up to c_max, some wider than [c_min, c_max]
+    c_lo = draw(st.floats(0.0, cfg.c_max))
+    return cfg, (c_lo, c_lo + draw(st.floats(0.0, 10.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=solver_cases())
+def test_solver_not_below_grid_optimum(case):
+    # without an own history the stake equation's pool term vanishes, so the
+    # stake exists at every optimum; the margin is the reward's _IR_MARGIN
+    cfg, c_bounds = case
+    ctx = dataclasses.replace(default_contract_context(cfg), c_hist=0.0)
+    sol = solve_constrained(cfg, ctx, c_bounds)
+    assert c_bounds[0] <= sol.c_star <= c_bounds[1]
+    assert sol.profit >= sol.diagnostics["grid_profit"] - 2e-9
+
+
+@pytest.mark.parametrize("changes, ctx_changes", [
+    ({"reward_pool": 0.0}, {}),
+    ({"contribution_bonus": 0.0}, {"c_hist": 1e-12}),
+], ids=["reward_pool 0", "contribution_bonus 0"])
+def test_solver_finite_without_pool_or_bonus(changes, ctx_changes):
+    # a zero pool makes the payout slope 0 and a zero bonus makes V(C) = 0:
+    # neither may divide by zero in the interior root
+    cfg = dataclasses.replace(CFG, **changes)
+    ctx = dataclasses.replace(default_contract_context(cfg), **ctx_changes)
+    sol = solve_constrained(cfg, ctx)
+    terms = (sol.c_star, sol.s_star, sol.r_star, sol.profit, sol.min_utility)
+    assert all(math.isfinite(v) for v in terms)
+    # no pool payout: value rises in C; no value: the payout falls in C
+    assert sol.c_star == (cfg.c_max if cfg.reward_pool == 0.0 else cfg.c_min)
+    assert sol.diagnostics["grid_gap"] <= 1e-3

@@ -234,11 +234,12 @@ def test_mechanism_never_reads_role_tag():
 
 
 def test_simulation_does_not_import_scipy():
-    # only solve_constrained needs scipy; a fresh interpreter that imports the
-    # package and runs the simulator must not pay for loading it
+    # scipy is a test dependency only: a fresh interpreter that imports the
+    # package, runs the simulator and solves the contract never loads it
     code = ("import sys, dataclasses, flmech\n"
             "cfg = dataclasses.replace(flmech.SystemConfig(), n_nodes=20, rounds=8, eta_switch=3)\n"
             "flmech.run_simulation(cfg, seed=0)\n"
+            "flmech.solve_constrained(flmech.SystemConfig())\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
