@@ -12,10 +12,6 @@ import numpy as np
 from .core import PatternKind, SystemConfig
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return min(hi, max(lo, x))
-
-
 def sample_contribution(kind: PatternKind, cfg: SystemConfig,
                         rng: np.random.Generator) -> tuple[float, float]:
     """Draw one (contribution, completion_time) pair.
@@ -43,4 +39,4 @@ def sample_contribution(kind: PatternKind, cfg: SystemConfig,
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown pattern {kind}")
     tau = rng.uniform(cfg.tau_low, cfg.tau_high)
-    return _clamp(c, cfg.c_min, cfg.c_max), tau
+    return min(cfg.c_max, max(cfg.c_min, c)), tau

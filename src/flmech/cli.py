@@ -15,11 +15,12 @@ variable; an explicit --out wins.
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .contract import DegenerateContract, optimal_contract_closed_form, solve_constrained
@@ -35,17 +36,17 @@ ROUNDS_COLUMNS = ["round", "node_id", "role", "contribution", "tau", "quality",
                   "reputation", "penalty", "reward", "committee", "detected"]
 METRICS_COLUMNS = ["round", "jain", "gini", "detected_count", "honest_mean_rep",
                    "malicious_mean_rep", "honest_mean_reward", "malicious_mean_reward"]
+ROUNDS_TYPES = [int, int, str] + [float] * 6 + [int, int]
+METRICS_TYPES = [int, float, float, int] + [float] * 4
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    with path.open("rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
-def _load_cfg(config_path: str | None, seed: int | None = None) -> SystemConfig:
-    cfg = load_config(config_path) if config_path else validate_config(SystemConfig())
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+def _load_cfg(config_path: str | None) -> SystemConfig:
+    return load_config(config_path) if config_path else validate_config(SystemConfig())
 
 
 def _rounds_rows(state: WorldState):
@@ -74,8 +75,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _write_manifest(out_dir: Path, subcommand: str, cfg: SystemConfig,
@@ -114,16 +114,15 @@ def export_simulation(state: WorldState, out_dir: Path,
     summary = state.summary()
     summary["first_detection_round"] = {str(k): v for k, v in summary["first_detection_round"].items()}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    seed = state.rng.seed
-    _write_manifest(out_dir, "simulate", replace(state.cfg, seed=seed), config_path, [seed],
+    _write_manifest(out_dir, "simulate", state.cfg, config_path, [state.cfg.seed],
                     ["rounds.csv", "metrics.csv", "summary.json"])
     print(f"simulate: wrote rounds.csv, metrics.csv, summary.json, manifest.json to {out_dir}")
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_cfg(args.config, args.seed)
+    cfg = _load_cfg(args.config)
     out_dir = _resolve_out(args)
-    export_simulation(run_simulation(cfg), out_dir, args.config)
+    export_simulation(run_simulation(cfg, seed=args.seed), out_dir, args.config)
     return 0
 
 
@@ -136,6 +135,8 @@ def _parse_grid(pairs: list[str]) -> dict[str, list]:
         key = key.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown grid key '{key}'")
+        if key == "seed":
+            raise ConfigError("seed is not a grid key; give the seeds with --seeds")
         grid[key] = [_parse_value(key, tok) for tok in rest.split(",")]
     return grid
 
@@ -159,9 +160,7 @@ def cmd_sweep(args) -> int:
     out_dir = _resolve_out(args)
 
     keys = sorted(grid)
-    combos = [()]
-    for key in keys:
-        combos = [c + (v,) for c in combos for v in grid[key]]
+    combos = list(itertools.product(*(grid[key] for key in keys)))
     # every grid point is checked before the first run, so a bad one writes nothing
     point_cfgs = [validate_config(replace(cfg, **dict(zip(keys, combo)))) for combo in combos]
 
@@ -196,17 +195,7 @@ def cmd_contract_opt(args) -> int:
     cfg = _load_cfg(args.config)
     solution = solve_constrained(cfg)
     closed = optimal_contract_closed_form(cfg)
-    doc = {
-        "c_star": solution.c_star,
-        "s_star": solution.s_star,
-        "r_star": solution.r_star,
-        "profit": solution.profit,
-        "ir_satisfaction_rate": solution.ir_satisfaction_rate,
-        "min_utility": solution.min_utility,
-        "closed_form": {"c_star": closed.c_star, "s_star": closed.s_star,
-                        "r_star": closed.r_star, "interior_exists": closed.interior_exists},
-        "diagnostics": solution.diagnostics,
-    }
+    doc = {**asdict(solution), "closed_form": asdict(closed)}
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
     if args.out:
@@ -216,9 +205,10 @@ def cmd_contract_opt(args) -> int:
     return 0
 
 
-def _csv_rows(path: Path, header: list[str]):
-    """Yield the rows of a CSV file, one at a time, after checking its header;
-    a row whose width differs from the header's is a corrupt file."""
+def _csv_rows(path: Path, header: list[str], types: list[type]):
+    """Yield the rows of a CSV file, one at a time, after checking its header,
+    with each cell parsed as its column's type; a row whose width differs
+    from the header's, or a cell that does not parse, is a corrupt file."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != header:
@@ -227,6 +217,12 @@ def _csv_rows(path: Path, header: list[str]):
             if len(row) != len(header):
                 raise ValueError(f"corrupt file (line {reader.line_num} has {len(row)} fields,"
                                  f" expected {len(header)}): {path}")
+            for column, kind in enumerate(types):
+                try:
+                    row[column] = kind(row[column])
+                except ValueError:
+                    raise ValueError(f"corrupt file (line {reader.line_num}, column {header[column]}:"
+                                     f" {row[column]!r} is not {kind.__name__}): {path}") from None
             yield row
 
 
@@ -235,6 +231,8 @@ def cmd_verify(args) -> int:
     manifest_path = out_dir / "manifest.json"
     try:
         manifest = json.loads(manifest_path.read_text())
+        if manifest["subcommand"] != "simulate":
+            raise ValueError(f"verify checks simulate output, not {manifest['subcommand']} output")
         cfg = config_from_dict(manifest["config"])
         digests = dict(manifest["files"])
     except (ValueError, KeyError, TypeError) as exc:
@@ -245,18 +243,16 @@ def cmd_verify(args) -> int:
     committee_rounds: dict[int, list[int]] = {}
     try:
         bad = [name for name, digest in digests.items() if _sha256(out_dir / name) != digest]
-        for row in _csv_rows(out_dir / "rounds.csv", ROUNDS_COLUMNS):
+        for row in _csv_rows(out_dir / "rounds.csv", ROUNDS_COLUMNS, ROUNDS_TYPES):
             t, node, _role, contribution, _tau, _quality, rep, _penalty, reward, committee, _ = row
-            t, reward, rep = int(t), float(reward), float(rep)
             per_round_paid[t] = per_round_paid.get(t, 0.0) + reward
             caps_ok = caps_ok and 0.0 <= rep <= cfg.r_max(t) + 1e-9
-            override_ok = override_ok and (float(contribution) != 0.0 or reward == 0.0)
-            # round and node_id parse as integers, so they cannot be non-finite
-            finite_ok = finite_ok and all(map(math.isfinite, map(float, row[3:])))
-            if int(committee):
-                committee_rounds.setdefault(int(node), []).append(t)
-        for row in _csv_rows(out_dir / "metrics.csv", METRICS_COLUMNS):
-            finite_ok = finite_ok and all(map(math.isfinite, map(float, row)))
+            override_ok = override_ok and (contribution != 0.0 or reward == 0.0)
+            finite_ok = finite_ok and all(map(math.isfinite, row[3:]))
+            if committee:
+                committee_rounds.setdefault(node, []).append(t)
+        for row in _csv_rows(out_dir / "metrics.csv", METRICS_COLUMNS, METRICS_TYPES):
+            finite_ok = finite_ok and all(map(math.isfinite, row))
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -92,7 +92,7 @@ def select_committee(nodes: list[Node], cfg: SystemConfig,
         eligible_all.extend(elig)
         if not elig or remaining <= 0:
             continue
-        m_k = min(max(1, min(quotas[k], len(elig))), len(elig), remaining)
+        m_k = min(max(1, min(quotas[k], len(elig))), remaining)
         weights = [nd.reputation ** cfg.gamma for nd in elig]
         picked.extend(weighted_sample_without_replacement(
             [nd.id for nd in elig], weights, m_k, rng))

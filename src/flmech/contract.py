@@ -33,7 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, SystemConfig, sigmoid
+from . import reputation
+from .core import DomainError, SystemConfig
 
 
 class ProbabilityError(ValueError):
@@ -87,9 +88,7 @@ def contribution_value(contribution: float, tau: float, x_c: float,
     sigmoid quality of the normalized contribution."""
     if tau <= 0:
         raise DomainError("completion time must be positive")
-    if c_max <= c_min:
-        raise DomainError("c_max must exceed c_min")
-    return (x_c / tau) * sigmoid((contribution - c_min) / (c_max - c_min))
+    return (x_c / tau) * reputation.quality(contribution, c_min, c_max)
 
 
 def effort_cost(contribution: float, gamma_c: float) -> float:
@@ -195,13 +194,7 @@ def default_contract_context(cfg: SystemConfig) -> ContractContext:
     """Operating point implied by the config: every participant at the
     contribution ceiling with a full decayed history."""
     c_hist = cfg.c_max * _zeta_mass(cfg)
-    return ContractContext(
-        fairness=1.0,
-        c_total=cfg.n_nodes * c_hist,
-        c_hist=c_hist,
-        tau_time=1.0,
-        committee_term=0.0,
-    )
+    return ContractContext(c_total=cfg.n_nodes * c_hist, c_hist=c_hist)
 
 
 def reward_slope(cfg: SystemConfig, ctx: ContractContext) -> float:

@@ -7,7 +7,7 @@ reputation quantities are plain floats; there is no fixed-point arithmetic.
 
 import math
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional, get_args
@@ -311,13 +311,7 @@ def load_config(path: str | Path) -> SystemConfig:
 
 def config_to_dict(cfg: SystemConfig) -> dict:
     """Flat dict of all config fields (attack_schedule as phase triples)."""
-    out = {}
-    for f in fields(SystemConfig):
-        v = getattr(cfg, f.name)
-        if f.name == "attack_schedule" and v is not None:
-            v = [list(p) for p in v]
-        out[f.name] = v
-    return out
+    return asdict(cfg)
 
 
 def config_from_dict(data: dict) -> SystemConfig:
@@ -333,7 +327,7 @@ def config_from_dict(data: dict) -> SystemConfig:
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown config key '{key}'")
         if (key == "attack_schedule" and isinstance(value, list)
-                and all(isinstance(phase, list) for phase in value)):
+                and all(isinstance(phase, (list, tuple)) for phase in value)):
             value = ",".join(":".join(map(str, phase)) for phase in value)
         values[key] = _parse_value(key, str(value))
     return validate_config(replace(SystemConfig(), **values))

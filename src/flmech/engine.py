@@ -74,9 +74,12 @@ class WorldState:
 
 
 def new_world(cfg: SystemConfig, seed: int | None = None) -> WorldState:
-    """Validate the config and build the initial world state."""
+    """Validate the config and build the initial world state. A given seed
+    replaces the config's, so the state's `cfg.seed` is the run's seed."""
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
     validate_config(cfg)
-    rng = RngStream(cfg.seed if seed is None else seed)
+    rng = RngStream(cfg.seed)
     nodes = init_population(cfg, rng)
     return WorldState(cfg=cfg, nodes=nodes, schedule=attack_patterns(cfg), rng=rng)
 

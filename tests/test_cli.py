@@ -68,6 +68,13 @@ def test_simulate_writes_expected_files(fast_config, tmp_path):
     assert manifest["seeds"] == [7]
 
 
+def test_simulate_seed_flag_is_the_manifest_seed(fast_config, tmp_path):
+    out = tmp_path / "s5"
+    assert main(["simulate", "--config", str(fast_config), "--seed", "5", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == 5 and manifest["seeds"] == [5]
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                "--out", str(tmp_path / "o")])
@@ -312,6 +319,16 @@ def test_verify_truncated_csv_reports_corrupt(fast_config, tmp_path, capsys):
     assert "corrupt file" in capsys.readouterr().err
 
 
+def test_verify_names_cell_that_does_not_parse(fast_config, tmp_path, capsys):
+    out = tmp_path / "vp"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    edit_first_row(out / "rounds.csv", committee="nan")
+    rehash(out, "rounds.csv")
+    assert main(["verify", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: corrupt file (line 2, column committee: 'nan'"
+                                       f" is not int): {out / 'rounds.csv'}\n")
+
+
 def test_verify_missing_manifest_exits_2(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path / "empty")]) == 2
     assert "manifest" in capsys.readouterr().err
@@ -329,6 +346,13 @@ def _config_file_case(text, command="simulate"):
 def _sweep_case(*flags):
     return pytest.param(lambda tmp_path: ["sweep", *flags, "--out", str(tmp_path / "o")],
                         id=" ".join(flags))
+
+
+def _verify_output_case(*command):
+    def argv(tmp_path):
+        main([*command, "--out", str(tmp_path / "run")])
+        return ["verify", "--out", str(tmp_path / "run")]
+    return pytest.param(argv, id=f"verify {command[0]} output")
 
 
 def _manifest_case(text, name):
@@ -355,6 +379,11 @@ def _manifest_case(text, name):
     _sweep_case("--grid", "n_nodes=abc"),
     _sweep_case("--seeds", "5:2"),
     _sweep_case("--seeds", "abc"),
+    # the grid would label runs with a seed that --seeds overrides
+    _sweep_case("--grid", "seed=1,2", "--seeds", "0"),
+    # verify checks simulate output only
+    _verify_output_case("sweep", "--grid", "rounds=8"),
+    _verify_output_case("contract-opt"),
     _manifest_case("{not json", "manifest not JSON"),
     _manifest_case(json.dumps({"files": {}}), "manifest without config"),
     _manifest_case(json.dumps({"config": {"attack_schedule": [[0, 90, "bogus"]]}, "files": {}}),

@@ -1,6 +1,7 @@
 """Config validation, population init, and the labeled-RNG contract."""
 
 import dataclasses
+import json
 import math
 import re
 from pathlib import Path
@@ -119,7 +120,8 @@ def test_load_config_roundtrip(tmp_path):
 def test_config_from_dict_inverts_config_to_dict():
     cfg = dataclasses.replace(SystemConfig(), t_max=2.0, rounds=12, contract_accounting=True,
                               attack_schedule=[(0, 5, "false_high"), (5, 12, "zero")])
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    for data in (config_to_dict(cfg), json.loads(json.dumps(config_to_dict(cfg)))):
+        assert config_from_dict(data) == cfg
     with pytest.raises(ConfigError, match="reward_pool: must be finite"):
         config_from_dict({**config_to_dict(cfg), "reward_pool": math.nan})
     with pytest.raises(ConfigError, match="n_nodes: expected int, got '30.0'"):

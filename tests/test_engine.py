@@ -20,6 +20,12 @@ def record_bytes(records):
     return json.dumps([dataclasses.asdict(r) for r in records], sort_keys=True).encode()
 
 
+def test_seed_argument_becomes_the_config_seed():
+    assert FAST.seed == 42
+    state = run_simulation(dataclasses.replace(FAST, rounds=3), seed=5)
+    assert state.cfg.seed == 5 == state.rng.seed
+
+
 def test_first_round_structure():
     state = new_world(SystemConfig(), seed=0)
     rec = run_round(state)
