@@ -48,7 +48,7 @@ def main():
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        export_simulation(result, out_dir)
+        export_simulation(result, result.records, out_dir)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from .core import (
 )
 from .committee import CommitteeSelection, SampleError, select_committee, stratum_quota, update_cooldowns
 from .detection import DetectionReport, apply_penalties, detect, penalty
-from .engine import PublisherLedger, WorldState, new_world, run_round, run_simulation
+from .engine import PublisherLedger, WorldState, iter_rounds, new_world, run_round, run_simulation
 from .metrics import gini, jain_index
 from .contract import (
     ComplianceInput, ContractContext, ContractItem, ContractMenu, DegenerateContract,

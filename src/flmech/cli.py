@@ -20,15 +20,18 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, replace
 from pathlib import Path
 
 from .contract import DegenerateContract, optimal_contract_closed_form, solve_constrained
 from .core import (
-    _CONFIG_FIELDS, ConfigError, DomainError, Role, SystemConfig, _parse_value, config_from_dict,
-    config_to_dict, load_config, validate_config,
+    _CONFIG_FIELDS, ConfigError, DomainError, Role, RoundRecord, SystemConfig, _parse_value,
+    config_from_dict, config_to_dict, load_config, validate_config,
 )
-from .engine import WorldState, run_simulation
+# `run_simulation` is not called here; it stays a name of this module because
+# bench/spans.py wraps `cli.run_simulation` by that name.
+from .engine import WorldState, iter_rounds, new_world, run_simulation  # noqa: F401
 from .metrics import mean
 
 SCHEMA_VERSION = 1
@@ -49,33 +52,34 @@ def _load_cfg(config_path: str | None) -> SystemConfig:
     return load_config(config_path) if config_path else validate_config(SystemConfig())
 
 
-def _rounds_rows(state: WorldState):
-    roles = [nd.role.value for nd in state.nodes]
-    for rec in state.records:
-        committee = set(rec.committee)
-        detected = set(rec.detected)
-        for i in range(len(roles)):
-            yield [rec.round, i, roles[i], rec.contributions[i], rec.completion_times[i],
-                   rec.qualities[i], rec.reputation_after[i], rec.penalties[i],
-                   rec.rewards[i], int(i in committee), int(i in detected)]
+def _round_rows(rec: RoundRecord, roles: list[str]):
+    committee = set(rec.committee)
+    detected = set(rec.detected)
+    for i, role in enumerate(roles):
+        yield [rec.round, i, role, rec.contributions[i], rec.completion_times[i],
+               rec.qualities[i], rec.reputation_after[i], rec.penalties[i],
+               rec.rewards[i], int(i in committee), int(i in detected)]
 
 
-def _metrics_rows(state: WorldState):
+def _metrics_row(rec: RoundRecord, honest: list[int], malicious: list[int]) -> list:
+    return [rec.round, rec.jain_fairness, rec.gini, len(rec.detected),
+            mean([rec.reputation_after[i] for i in honest]),
+            mean([rec.reputation_after[i] for i in malicious]),
+            mean([rec.rewards[i] for i in honest]),
+            mean([rec.rewards[i] for i in malicious])]
+
+
+def _role_ids(state: WorldState) -> tuple[list[int], list[int]]:
+    """(honest ids, malicious ids), in node order."""
     honest = [nd.id for nd in state.nodes if nd.role is Role.HONEST]
     malicious = [nd.id for nd in state.nodes if nd.role is Role.MALICIOUS]
-    for rec in state.records:
-        yield [rec.round, rec.jain_fairness, rec.gini, len(rec.detected),
-               mean([rec.reputation_after[i] for i in honest]),
-               mean([rec.reputation_after[i] for i in malicious]),
-               mean([rec.rewards[i] for i in honest]),
-               mean([rec.rewards[i] for i in malicious])]
+    return honest, malicious
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_writer(fh, header: list[str]):
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    return writer
 
 
 def _write_manifest(out_dir: Path, subcommand: str, cfg: SystemConfig,
@@ -88,7 +92,6 @@ def _write_manifest(out_dir: Path, subcommand: str, cfg: SystemConfig,
         "seeds": seeds,
         "out_dir": str(out_dir),
         "config": config_to_dict(cfg),
-        "columns": {"rounds.csv": ROUNDS_COLUMNS, "metrics.csv": METRICS_COLUMNS},
         "files": {name: _sha256(out_dir / name) for name in sorted(file_names)},
     }
     if extra:
@@ -105,24 +108,36 @@ def _resolve_out(args) -> Path:
     return path
 
 
-def export_simulation(state: WorldState, out_dir: Path,
+def export_simulation(state: WorldState, records: Iterable[RoundRecord], out_dir: Path,
                       config_path: str | None = None) -> None:
     """Write one run's rounds.csv, metrics.csv, summary.json and manifest.json
-    into an existing directory."""
-    _write_csv(out_dir / "rounds.csv", ROUNDS_COLUMNS, _rounds_rows(state))
-    _write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, _metrics_rows(state))
+    into an existing directory. Each record's rows are written as the record
+    arrives, so `records` may be `iter_rounds(state)`; summary.json is taken
+    from `state` once `records` is exhausted."""
+    roles = [nd.role.value for nd in state.nodes]
+    honest, malicious = _role_ids(state)
+    with (out_dir / "rounds.csv").open("w", newline="") as rounds_fh, \
+            (out_dir / "metrics.csv").open("w", newline="") as metrics_fh:
+        rounds_csv = _csv_writer(rounds_fh, ROUNDS_COLUMNS)
+        metrics_csv = _csv_writer(metrics_fh, METRICS_COLUMNS)
+        for rec in records:
+            rounds_csv.writerows(_round_rows(rec, roles))
+            metrics_csv.writerow(_metrics_row(rec, honest, malicious))
     summary = state.summary()
     summary["first_detection_round"] = {str(k): v for k, v in summary["first_detection_round"].items()}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_manifest(out_dir, "simulate", state.cfg, config_path, [state.cfg.seed],
-                    ["rounds.csv", "metrics.csv", "summary.json"])
+                    ["rounds.csv", "metrics.csv", "summary.json"],
+                    extra={"columns": {"rounds.csv": ROUNDS_COLUMNS,
+                                       "metrics.csv": METRICS_COLUMNS}})
     print(f"simulate: wrote rounds.csv, metrics.csv, summary.json, manifest.json to {out_dir}")
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args.config)
     out_dir = _resolve_out(args)
-    export_simulation(run_simulation(cfg, seed=args.seed), out_dir, args.config)
+    state = new_world(cfg, seed=args.seed)
+    export_simulation(state, iter_rounds(state), out_dir, args.config)
     return 0
 
 
@@ -164,15 +179,15 @@ def cmd_sweep(args) -> int:
     # every grid point is checked before the first run, so a bad one writes nothing
     point_cfgs = [validate_config(replace(cfg, **dict(zip(keys, combo)))) for combo in combos]
 
-    header = keys + ["seed"] + METRICS_COLUMNS
     rows = []
     run_summaries = []
     for combo, point_cfg in zip(combos, point_cfgs):
         for seed in seeds:
-            result = run_simulation(point_cfg, seed=seed)
-            for metric_row in _metrics_rows(result):
-                rows.append(list(combo) + [seed] + metric_row)
-            s = result.summary()
+            state = new_world(point_cfg, seed=seed)
+            honest, malicious = _role_ids(state)
+            rows += [[*combo, seed, *_metrics_row(rec, honest, malicious)]
+                     for rec in iter_rounds(state)]
+            s = state.summary()
             run_summaries.append({
                 "grid": dict(zip(keys, combo)), "seed": seed,
                 "honest_total_reward": s["honest_total_reward"],
@@ -180,10 +195,12 @@ def cmd_sweep(args) -> int:
                 "cumulative_reward_gini": s["cumulative_reward_gini"],
                 "honest_reward_gini": s["honest_reward_gini"],
             })
-    _write_csv(out_dir / "sweep.csv", header, rows)
+    with (out_dir / "sweep.csv").open("w", newline="") as fh:
+        _csv_writer(fh, keys + ["seed"] + METRICS_COLUMNS).writerows(rows)
     (out_dir / "sweep_summary.json").write_text(
         json.dumps(run_summaries, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "sweep", cfg, args.config, seeds,
+    # the manifest names the first run's seed, as simulate names its run's
+    _write_manifest(out_dir, "sweep", replace(cfg, seed=seeds[0]), args.config, seeds,
                     ["sweep.csv", "sweep_summary.json"],
                     extra={"grid": {k: grid[k] for k in keys},
                            "runs": len(combos) * len(seeds)})

@@ -8,6 +8,7 @@ pre-round state.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from . import committee as committee_mod
@@ -34,29 +35,30 @@ class PublisherLedger:
 class WorldState:
     """The whole simulation: config, population (node i at index i), attack
     schedule (round t's malicious pattern at index t), RNG, round counter,
-    publisher ledger and per-round records."""
+    publisher ledger, and the two tallies `summary()` reads: the detected
+    count of each finished round and each flagged node's first detection
+    round. `records` holds the per-round records only after `run_simulation`;
+    `run_round` and `iter_rounds` keep none."""
     cfg: SystemConfig
     nodes: list[Node]
     schedule: list[PatternKind]
     rng: RngStream
     t: int = 0
     ledger: PublisherLedger = field(default_factory=PublisherLedger)
+    detected_per_round: list[int] = field(default_factory=list)
+    first_detected: dict[int, int] = field(default_factory=dict)
     records: list[RoundRecord] = field(default_factory=list)
 
     def first_detection_round(self) -> dict[int, int]:
         """Earliest round each node id was flagged, for nodes ever flagged."""
-        first: dict[int, int] = {}
-        for rec in self.records:
-            for node_id in rec.detected:
-                first.setdefault(node_id, rec.round)
-        return first
+        return dict(self.first_detected)
 
     def summary(self) -> dict:
         honest = [nd for nd in self.nodes if nd.role is Role.HONEST]
         malicious = [nd for nd in self.nodes if nd.role is Role.MALICIOUS]
         return {
             "seed": self.rng.seed,
-            "rounds": len(self.records),
+            "rounds": self.t,
             "n_nodes": len(self.nodes),
             "n_honest": len(honest),
             "n_malicious": len(malicious),
@@ -68,7 +70,7 @@ class WorldState:
             "honest_reward_gini": gini([nd.total_reward for nd in honest]),
             "publisher_stake_income": self.ledger.stake_deductions,
             "publisher_contract_margin": self.ledger.contract_margin,
-            "detected_per_round": [len(rec.detected) for rec in self.records],
+            "detected_per_round": list(self.detected_per_round),
             "first_detection_round": self.first_detection_round(),
         }
 
@@ -117,24 +119,43 @@ def collect_contributions(state: WorldState) -> tuple[list[float], list[float], 
     return contributions, completion_times, timeouts
 
 
-def _snapshot_nodes(nodes: list[Node]) -> list[Node]:
-    return [replace(nd, contribution_history=list(nd.contribution_history)) for nd in nodes]
+def _snapshot_nodes(nodes: list[Node]) -> list[tuple]:
+    """The node fields a round mutates, one tuple per node."""
+    return [(nd.stake, nd.reputation, nd.total_reward, nd.participation, nd.cooldown,
+             list(nd.contribution_history)) for nd in nodes]
+
+
+def _restore_nodes(nodes: list[Node], snapshot: list[tuple]) -> None:
+    for nd, saved in zip(nodes, snapshot):
+        (nd.stake, nd.reputation, nd.total_reward, nd.participation, nd.cooldown,
+         nd.contribution_history) = saved
 
 
 def run_round(state: WorldState) -> RoundRecord:
-    """Execute one full round and append its record. Atomic over the state."""
+    """Execute one full round, update the state's tallies and return the
+    round's record without keeping it. Atomic over the state."""
     cfg, t = state.cfg, state.t
     if t >= cfg.rounds:
         raise ValueError(f"round {t} out of range; run has {cfg.rounds} rounds")
-    backup = (_snapshot_nodes(state.nodes), replace(state.ledger))
+    nodes_backup, ledger_backup = _snapshot_nodes(state.nodes), replace(state.ledger)
     try:
         record = _run_round_steps(state)
     except Exception:
-        state.nodes, state.ledger = backup
+        _restore_nodes(state.nodes, nodes_backup)
+        state.ledger = ledger_backup
         raise
-    state.records.append(record)
+    state.detected_per_round.append(len(record.detected))
+    for node_id in record.detected:
+        state.first_detected.setdefault(node_id, t)
     state.t += 1
     return record
+
+
+def iter_rounds(state: WorldState) -> Iterator[RoundRecord]:
+    """Run the remaining rounds, yielding each record as its round finishes.
+    Nothing keeps the records, so memory stays bounded by the population."""
+    while state.t < state.cfg.rounds:
+        yield run_round(state)
 
 
 def _run_round_steps(state: WorldState) -> RoundRecord:
@@ -195,8 +216,7 @@ def _run_round_steps(state: WorldState) -> RoundRecord:
 
 def run_simulation(cfg: SystemConfig, seed: int | None = None) -> WorldState:
     """Run the configured number of rounds and return the final world
-    state, which holds the full per-round trace."""
+    state, with every round's record in `records`."""
     state = new_world(cfg, seed)
-    for _ in range(cfg.rounds):
-        run_round(state)
+    state.records = list(iter_rounds(state))
     return state

@@ -3,13 +3,17 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from flmech import cli
 from flmech.cli import METRICS_COLUMNS, ROUNDS_COLUMNS, main
-from flmech.engine import run_simulation
+from flmech.core import load_config
+from flmech.engine import new_world, run_simulation
 
 FAST_CONFIG = (
     "n_nodes = 30\n"
@@ -73,6 +77,81 @@ def test_simulate_seed_flag_is_the_manifest_seed(fast_config, tmp_path):
     assert main(["simulate", "--config", str(fast_config), "--seed", "5", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 5 and manifest["seeds"] == [5]
+
+
+def test_streamed_simulate_matches_export_of_kept_records(fast_config, tmp_path, monkeypatch):
+    # simulate writes each round as it finishes; exporting the records that
+    # run_simulation keeps goes through the same writer and gives the same bytes
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", "fast.cfg", "--out", "streamed"]) == 0
+    result = run_simulation(load_config(fast_config))
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    cli.export_simulation(result, result.records, Path("kept"), "fast.cfg")
+    for name in ("rounds.csv", "metrics.csv", "summary.json"):
+        assert (kept / name).read_bytes() == (tmp_path / "streamed" / name).read_bytes()
+    streamed = json.loads((tmp_path / "streamed" / "manifest.json").read_text())
+    assert json.loads((kept / "manifest.json").read_text()) == {**streamed, "out_dir": "kept"}
+
+
+# VmHWM is the peak RSS of this process's own address space; ru_maxrss would
+# also count the parent's, which a child spawned by vfork inherits at exec.
+PEAK_RSS_CODE = """
+import re, sys
+from pathlib import Path
+from flmech.cli import main
+assert main(sys.argv[1:]) == 0
+print(re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text()).group(1))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_simulate_memory_does_not_grow_with_rounds(tmp_path):
+    # the round trace is streamed to disk, so 16x the rounds at n=50 (the
+    # trace would hold about 12 MB at T=1440) leaves the peak RSS where it was
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    peaks_kb = {}
+    for rounds in (90, 1440):
+        cfg = tmp_path / f"t{rounds}.cfg"
+        cfg.write_text(f"n_nodes = 50\nrounds = {rounds}\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_CODE, "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / f"t{rounds}")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        peaks_kb[rounds] = int(proc.stdout.splitlines()[-1])
+    assert peaks_kb[1440] - peaks_kb[90] < 4 * 1024, peaks_kb
+
+
+def test_manifest_columns_name_only_files_in_the_directory(fast_config, tmp_path):
+    runs = {
+        "simulate": ["simulate", "--config", str(fast_config)],
+        "sweep": ["sweep", "--config", str(fast_config), "--grid", "rounds=4"],
+        "contract-opt": ["contract-opt"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["subcommand"] == name
+        if name == "simulate":
+            assert manifest["columns"] == {"rounds.csv": ROUNDS_COLUMNS,
+                                           "metrics.csv": METRICS_COLUMNS}
+            assert set(manifest["columns"]) <= set(manifest["files"])
+        else:
+            assert "columns" not in manifest
+
+
+def test_sweep_manifest_config_seed_is_the_first_run_seed(fast_config, tmp_path):
+    # the base config's seed (7) names no run of the sweep
+    out = tmp_path / "sweep_seeds"
+    assert main(["sweep", "--config", str(fast_config), "--grid", "rounds=4",
+                 "--seeds", "0,1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seeds"] == [0, 1]
+    assert manifest["config"]["seed"] == 0
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -164,11 +243,11 @@ def test_sweep_checks_every_grid_point_before_running(tmp_path, monkeypatch, cap
     cfg.write_text("n_nodes = 30\nattack_schedule = 0:5:false_high, 5:90:zero\n")
     calls = []
 
-    def counted_run(*args, **kwargs):
+    def counted_world(*args, **kwargs):
         calls.append(args)
-        return run_simulation(*args, **kwargs)
+        return new_world(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_simulation", counted_run)
+    monkeypatch.setattr(cli, "new_world", counted_world)
     out = tmp_path / "sweep_sched"
     rc = main(["sweep", "--config", str(cfg), "--grid", "rounds=90,30",
                "--seeds", "0:2", "--out", str(out)])

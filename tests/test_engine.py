@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from flmech.core import Role, SystemConfig
-from flmech.engine import new_world, run_round, run_simulation
+from flmech.engine import iter_rounds, new_world, run_round, run_simulation
 
 FAST = dataclasses.replace(SystemConfig(), n_nodes=30, rounds=12,
                            malicious_percent=0.2, eta_switch=3)
@@ -38,7 +38,8 @@ def test_first_round_structure():
             assert rec.rewards[i] > 0.0
         else:
             assert rec.rewards[i] == 0.0
-    assert state.t == 1 and len(state.records) == 1
+    # run_round returns its record and keeps only the tallies
+    assert state.t == 1 and state.detected_per_round == [0] and state.records == []
 
 
 def test_zero_phase_contributors_earn_nothing():
@@ -72,6 +73,7 @@ def test_round_application_is_atomic(monkeypatch):
     run_round(state)
     nodes_snapshot = record_nodes(state)
     t_before = state.t
+    tallies_before = (list(state.detected_per_round), dict(state.first_detected))
 
     import flmech.engine as engine_mod
 
@@ -82,8 +84,60 @@ def test_round_application_is_atomic(monkeypatch):
     with pytest.raises(RuntimeError, match="injected failure"):
         run_round(state)
     assert state.t == t_before
-    assert len(state.records) == t_before
+    assert len(state.detected_per_round) == t_before
+    assert (state.detected_per_round, state.first_detected) == tallies_before
     assert record_nodes(state) == nodes_snapshot
+
+
+def test_iter_rounds_yields_every_round_and_keeps_none():
+    state = new_world(FAST, seed=3)
+    rounds = [rec.round for rec in iter_rounds(state)]
+    assert rounds == list(range(FAST.rounds))
+    assert state.t == FAST.rounds and state.records == []
+    assert list(iter_rounds(state)) == []
+    # the streamed records are the ones run_simulation keeps
+    state = new_world(FAST, seed=3)
+    assert record_bytes(iter_rounds(state)) == record_bytes(run_simulation(FAST, seed=3).records)
+
+
+def test_summary_tallies_match_records():
+    cfg = dataclasses.replace(SystemConfig(), n_nodes=40, rounds=30)
+    result = run_simulation(cfg, seed=0)
+    first = {}
+    for rec in result.records:
+        for node_id in rec.detected:
+            first.setdefault(node_id, rec.round)
+    assert first
+    summary = result.summary()
+    assert summary["rounds"] == len(result.records)
+    assert summary["detected_per_round"] == [len(rec.detected) for rec in result.records]
+    assert summary["first_detection_round"] == first == result.first_detection_round()
+
+
+def test_round_failing_mid_stream_leaves_state_unchanged(monkeypatch):
+    import flmech.engine as engine_mod
+
+    state = new_world(FAST, seed=3)
+    stream = iter_rounds(state)
+    for _ in range(5):
+        next(stream)
+    assert state.first_detected  # round 3 flags nodes at this seed
+    before = (state.t, list(state.detected_per_round), dict(state.first_detected),
+              record_nodes(state), dataclasses.replace(state.ledger))
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(engine_mod.reward_mod, "allocate_rewards", boom)
+    with pytest.raises(RuntimeError, match="injected failure"):
+        next(stream)
+    assert (state.t, state.detected_per_round, state.first_detected,
+            record_nodes(state), state.ledger) == before
+    # a fresh stream resumes at the failed round and ends where an unbroken run ends
+    monkeypatch.undo()
+    for _ in iter_rounds(state):
+        pass
+    assert state.summary() == run_simulation(FAST, seed=3).summary()
 
 
 def record_nodes(state):
@@ -95,13 +149,14 @@ def record_nodes(state):
 def test_participation_monotone_and_counts_positive_contributions():
     state = new_world(FAST, seed=9)
     last = {nd.id: 0 for nd in state.nodes}
+    records = []
     for _ in range(FAST.rounds):
-        run_round(state)
+        records.append(run_round(state))
         for nd in state.nodes:
             assert nd.participation >= last[nd.id]
             last[nd.id] = nd.participation
     for nd in state.nodes:
-        positive = sum(1 for rec in state.records if rec.contributions[nd.id] > 0.0)
+        positive = sum(1 for rec in records if rec.contributions[nd.id] > 0.0)
         assert nd.participation == positive
 
 
@@ -109,17 +164,19 @@ def test_round_counter_and_bounded_history():
     # node state holds the last window+1 contributions however long the run
     cfg = dataclasses.replace(FAST, rounds=12 * FAST.window)
     state = new_world(cfg, seed=11)
+    records = []
     for expected_t in range(cfg.rounds):
         rec = run_round(state)
+        records.append(rec)
         assert rec.round == expected_t
         for nd in state.nodes:
             assert len(nd.contribution_history) == min(expected_t + 1, cfg.window + 1)
             assert nd.contribution_history[-1] == rec.contributions[nd.id]
     assert state.t == cfg.rounds
-    assert len(state.records) == cfg.rounds
+    assert len(records) == cfg.rounds
     for nd in state.nodes:
         assert nd.contribution_history == [rec.contributions[nd.id]
-                                           for rec in state.records[-(cfg.window + 1):]]
+                                           for rec in records[-(cfg.window + 1):]]
 
 
 def test_timeout_zeroes_contribution_and_logs():
