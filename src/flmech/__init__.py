@@ -11,12 +11,9 @@ from .detection import DetectionReport, apply_penalties, detect, penalty
 from .engine import PublisherLedger, WorldState, iter_rounds, new_world, run_round, run_simulation
 from .metrics import gini, jain_index
 from .contract import (
-    ComplianceInput, ContractContext, ContractItem, ContractMenu, DegenerateContract,
-    OptimalSolution, ProbabilityError, SolverError, check_IC, check_IR, compliance,
-    contribution_value, default_contract_context, effort_cost, expected_profit,
-    grid_oracle, optimal_contract_closed_form, optimal_contribution_closed_form,
-    participant_utility, publisher_profit, relaxed_profit, reward_slope,
-    solve_constrained,
+    ContractContext, DegenerateContract, OptimalSolution, SolverError, contribution_value,
+    default_contract_context, effort_cost, grid_oracle, optimal_contract_closed_form,
+    optimal_contribution_closed_form, relaxed_profit, reward_slope, solve_constrained,
 )
 
 __version__ = "0.1.0"

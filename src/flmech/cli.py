@@ -101,10 +101,11 @@ def _write_manifest(out_dir: Path, subcommand: str, cfg: SystemConfig,
     return path
 
 
-def _resolve_out(args) -> Path:
-    out = args.out or os.environ.get("FLMECH_OUT") or "out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+def _resolve_out(args, create: bool = True) -> Path:
+    """--out, else $FLMECH_OUT, else ./out; created unless `create` is false."""
+    path = Path(args.out or os.environ.get("FLMECH_OUT") or "out")
+    if create:
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -152,6 +153,8 @@ def _parse_grid(pairs: list[str]) -> dict[str, list]:
             raise ConfigError(f"unknown grid key '{key}'")
         if key == "seed":
             raise ConfigError("seed is not a grid key; give the seeds with --seeds")
+        if key in grid:
+            raise ConfigError(f"grid key '{key}' given more than once")
         grid[key] = [_parse_value(key, tok) for tok in rest.split(",")]
     return grid
 
@@ -244,7 +247,7 @@ def _csv_rows(path: Path, header: list[str], types: list[type]):
 
 
 def cmd_verify(args) -> int:
-    out_dir = Path(args.out or os.environ.get("FLMECH_OUT") or "out")
+    out_dir = _resolve_out(args, create=False)
     manifest_path = out_dir / "manifest.json"
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -256,8 +259,10 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"bad manifest {manifest_path}: {type(exc).__name__}: {exc}") from None
 
     per_round_paid: dict[int, float] = {}
-    caps_ok, override_ok, finite_ok = True, True, True
+    caps_ok, override_ok, finite_ok, in_order = True, True, True, True
     committee_rounds: dict[int, list[int]] = {}
+    # row k of rounds.csv is round k // n_nodes, node k % n_nodes; of metrics.csv, round k
+    rounds_rows = metrics_rows = 0
     try:
         bad = [name for name, digest in digests.items() if _sha256(out_dir / name) != digest]
         for row in _csv_rows(out_dir / "rounds.csv", ROUNDS_COLUMNS, ROUNDS_TYPES):
@@ -268,8 +273,12 @@ def cmd_verify(args) -> int:
             finite_ok = finite_ok and all(map(math.isfinite, row[3:]))
             if committee:
                 committee_rounds.setdefault(node, []).append(t)
+            in_order = in_order and divmod(rounds_rows, cfg.n_nodes) == (t, node)
+            rounds_rows += 1
         for row in _csv_rows(out_dir / "metrics.csv", METRICS_COLUMNS, METRICS_TYPES):
             finite_ok = finite_ok and all(map(math.isfinite, row))
+            in_order = in_order and row[0] == metrics_rows
+            metrics_rows += 1
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -286,6 +295,10 @@ def cmd_verify(args) -> int:
          all(b - a > cfg.cooldown_period for ts in map(sorted, committee_rounds.values())
              for a, b in zip(ts, ts[1:])), ""),
         ("numeric_cells_finite", finite_ok, ""),
+        (f"rows_cover_every_round_and_node ({cfg.rounds} rounds x {cfg.n_nodes} nodes)",
+         in_order and rounds_rows == cfg.rounds * cfg.n_nodes and metrics_rows == cfg.rounds,
+         f"{rounds_rows} rounds.csv rows, {metrics_rows} metrics.csv rows"
+         + ("" if in_order else ", out of order")),
     ]
     for name, ok, detail in checks:
         suffix = f" ({detail})" if detail and not ok else ""

@@ -1,5 +1,5 @@
-"""Contract economics: contribution value, utility and profit, IR/IC checks,
-the closed-form optimal contract, and the exact optimum of the relaxed problem.
+"""Contract economics: contribution value, effort cost, the closed-form
+optimal contract, and the exact optimum of the relaxed problem.
 
 The relaxed single-participant problem treats the per-round pool payout as a
 linear function of the contribution (slope = marginal decayed-history share
@@ -37,10 +37,6 @@ from . import reputation
 from .core import DomainError, SystemConfig
 
 
-class ProbabilityError(ValueError):
-    """Type probabilities do not form a distribution."""
-
-
 class DegenerateContract(ValueError):
     """The stake equation's denominator is non-positive."""
 
@@ -50,36 +46,6 @@ class SolverError(RuntimeError):
 
 
 _IR_MARGIN = 1e-9           # reward above cost, so the participant's utility stays positive
-
-
-@dataclass(frozen=True)
-class ContractItem:
-    type_index: float       # theta, higher = better type
-    contribution: float     # C
-    stake: float            # S
-    reward: float           # R
-
-
-@dataclass
-class ContractMenu:
-    items: list[ContractItem]           # sorted by type_index descending
-    probabilities: list[float]          # one per item, sums to 1
-    t_max: Optional[float] = None
-
-    def validate(self) -> None:
-        if len(self.items) != len(self.probabilities):
-            raise ProbabilityError("one probability per contract item required")
-        if abs(math.fsum(self.probabilities) - 1.0) > 1e-9:
-            raise ProbabilityError(f"probabilities sum to {math.fsum(self.probabilities)}, not 1")
-        types = [it.type_index for it in self.items]
-        if any(nxt >= prev for prev, nxt in zip(types, types[1:])):
-            raise ProbabilityError("type indices must be strictly descending")
-
-
-@dataclass(frozen=True)
-class ComplianceInput:
-    """Weighted violation severities: (weight, normalized severity in [0,1])."""
-    violations: tuple[tuple[float, float], ...] = ()
 
 
 def contribution_value(contribution: float, tau: float, x_c: float,
@@ -96,81 +62,6 @@ def effort_cost(contribution: float, gamma_c: float) -> float:
     if gamma_c <= 0:
         raise DomainError("gamma_c must be positive")
     return 0.5 * gamma_c * contribution ** 2
-
-
-def compliance(inp: ComplianceInput, severe_cutoff: float) -> float:
-    """Compliance indicator in [0,1]: exp of minus the weighted severity sum,
-    dropping to exactly 0 once the sum reaches the severe cutoff."""
-    score = math.fsum(w * v for w, v in inp.violations)
-    if score >= severe_cutoff:
-        return 0.0
-    return math.exp(-score)
-
-
-def participant_utility(item: ContractItem, compl: float, lambda_s: float,
-                        gamma_c: float) -> float:
-    """Reward kept under compliance, minus the at-risk stake share lost to
-    non-compliance, minus the effort cost."""
-    return item.reward * compl - lambda_s * item.stake * (1.0 - compl) \
-        - effort_cost(item.contribution, gamma_c)
-
-
-def publisher_profit(item: ContractItem, value: float, compl: float,
-                     lambda_s: float) -> float:
-    """Publisher's take from one item: contribution value net of reward under
-    compliance, plus the forfeited stake share otherwise."""
-    return (value - item.reward) * compl + lambda_s * item.stake * (1.0 - compl)
-
-
-def expected_profit(menu: ContractMenu, values: list[float],
-                    compliances: list[float], lambda_s: float) -> float:
-    """Probability-weighted profit over the whole menu."""
-    menu.validate()
-    return math.fsum(
-        p * publisher_profit(item, v, c, lambda_s)
-        for item, p, v, c in zip(menu.items, menu.probabilities, values, compliances)
-    )
-
-
-@dataclass
-class IRReport:
-    utilities: list[float]
-    satisfied: list[bool]
-    satisfaction_rate: float
-    min_utility: float
-
-
-def check_IR(menu: ContractMenu, gamma_c: float, lambda_s: float,
-             compliances: Optional[list[float]] = None) -> IRReport:
-    """Individual rationality: each type's own-item utility is non-negative."""
-    if compliances is None:
-        compliances = [1.0] * len(menu.items)
-    utils = [participant_utility(it, c, lambda_s, gamma_c)
-             for it, c in zip(menu.items, compliances)]
-    flags = [u >= 0.0 for u in utils]
-    rate = sum(flags) / len(flags) if flags else 1.0
-    return IRReport(utils, flags, rate, min(utils) if utils else 0.0)
-
-
-@dataclass
-class ICReport:
-    truthful: list[bool]
-    worst_margin: float     # max over types of (best deviation utility - truthful utility)
-    satisfied: bool
-
-
-def check_IC(utility_matrix: list[list[float]], tol: float = 1e-9) -> ICReport:
-    """Incentive compatibility from a utility matrix U[i][j] = utility of
-    type i choosing the item designed for type j."""
-    truthful = []
-    worst = -math.inf
-    for i, row in enumerate(utility_matrix):
-        margin = max(row[j] - row[i] for j in range(len(row)))
-        worst = max(worst, margin)
-        truthful.append(margin <= tol)
-    if not utility_matrix:
-        return ICReport([], 0.0, True)
-    return ICReport(truthful, worst, all(truthful))
 
 
 @dataclass(frozen=True)
@@ -373,8 +264,7 @@ def solve_constrained(cfg: SystemConfig, ctx: Optional[ContractContext] = None,
     grid_c, grid_r, grid_profit = grid_oracle(cfg, ctx, c_bounds, r_bounds)
     gap = abs(profit - grid_profit)
 
-    item = ContractItem(type_index=1.0, contribution=c_star, stake=s_star, reward=r_star)
-    utility = participant_utility(item, 1.0, cfg.stake_penalty_factor, cfg.gamma_c)
+    utility = r_star - effort_cost(c_star, cfg.gamma_c)     # the participant's IR utility
 
     return OptimalSolution(
         c_star=c_star, s_star=s_star, r_star=r_star, profit=profit,

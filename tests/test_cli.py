@@ -398,6 +398,44 @@ def test_verify_truncated_csv_reports_corrupt(fast_config, tmp_path, capsys):
     assert "corrupt file" in capsys.readouterr().err
 
 
+def _swap(first, second):
+    # swap file lines `first` and `second` (line 1 is the header)
+    def edit(lines):
+        lines[first - 1], lines[second - 1] = lines[second - 1], lines[first - 1]
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, detail", [
+    # every row that is left parses and passes the other checks
+    ("rounds.csv", lambda lines: lines[: 1 + (len(lines) - 1) // 2],
+     "180 rounds.csv rows, 12 metrics.csv rows"),
+    ("rounds.csv", _swap(7, 40), "360 rounds.csv rows, 12 metrics.csv rows, out of order"),
+    ("metrics.csv", _swap(2, 3), "360 rounds.csv rows, 12 metrics.csv rows, out of order"),
+], ids=["rounds.csv cut at a row boundary", "rounds.csv rows swapped",
+        "metrics.csv rows swapped"])
+def test_verify_fails_rows_that_do_not_cover_the_run(fast_config, tmp_path, capsys,
+                                                     name, edit, detail):
+    out = tmp_path / "vr"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    lines = (out / name).read_text().splitlines(keepends=True)
+    (out / name).write_text("".join(edit(lines)))
+    rehash(out, name)
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == [f"FAIL rows_cover_every_round_and_node (12 rounds x 30 nodes) ({detail})"]
+
+
+def test_verify_passes_header_only_files_of_zero_rounds(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("n_nodes = 5\nrounds = 0\n")
+    out = tmp_path / "zero"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", "--out", str(out)]) == 0
+    assert "PASS rows_cover_every_round_and_node (0 rounds x 5 nodes)" in capsys.readouterr().out
+
+
 def test_verify_names_cell_that_does_not_parse(fast_config, tmp_path, capsys):
     out = tmp_path / "vp"
     main(["simulate", "--config", str(fast_config), "--out", str(out)])
@@ -460,6 +498,9 @@ def _manifest_case(text, name):
     _sweep_case("--seeds", "abc"),
     # the grid would label runs with a seed that --seeds overrides
     _sweep_case("--grid", "seed=1,2", "--seeds", "0"),
+    # a repeated key would silently keep only its last values
+    _sweep_case("--grid", "malicious_percent=0.1", "--grid", "malicious_percent=0.2",
+                "--seeds", "0"),
     # verify checks simulate output only
     _verify_output_case("sweep", "--grid", "rounds=8"),
     _verify_output_case("contract-opt"),

@@ -1,4 +1,4 @@
-"""Contract economics: values, utilities, IR/IC, closed form, solver.
+"""Contract economics: value and cost, closed form, solver.
 
 The exact solver is never trusted alone: every solver assertion has the
 dense-grid oracle next to it, and the closed-form route is cross-checked
@@ -13,11 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flmech.contract import (
-    ComplianceInput, ContractContext, ContractItem, ContractMenu,
-    DegenerateContract, ProbabilityError, check_IC, check_IR, compliance,
-    contribution_value, default_contract_context, effort_cost, expected_profit,
-    grid_oracle, optimal_contract_closed_form, optimal_contribution_closed_form,
-    participant_utility, publisher_profit, reward_slope, solve_constrained,
+    ContractContext, DegenerateContract, contribution_value, default_contract_context,
+    effort_cost, grid_oracle, optimal_contract_closed_form, optimal_contribution_closed_form,
+    reward_slope, solve_constrained,
 )
 from flmech.core import DomainError, SystemConfig, sigmoid
 
@@ -73,113 +71,6 @@ def test_effort_cost_strictly_convex(a, b):
     if abs(a - b) > 1e-9:
         mid = 0.5 * (a + b)
         assert effort_cost(a, 0.5) + effort_cost(b, 0.5) > 2 * effort_cost(mid, 0.5)
-
-
-# --- compliance, utility, profit ------------------------------------------
-
-def test_compliance_cases():
-    assert compliance(ComplianceInput(()), 1.0) == 1.0
-    one = compliance(ComplianceInput(((0.3, 0.5),)), 1.0)
-    assert one == pytest.approx(math.exp(-0.15), rel=1e-12)
-    assert abs(one - 0.8607) < 1e-4
-    assert compliance(ComplianceInput(((1.0, 1.0),)), 1.0) == 0.0
-
-
-def test_participant_utility_cases():
-    item = ContractItem(1.0, contribution=10.0, stake=100.0, reward=50.0)
-    assert participant_utility(item, 1.0, 0.1, 0.5) == pytest.approx(25.0)
-    assert participant_utility(item, 0.0, 0.1, 0.5) == pytest.approx(-35.0)
-    binding = ContractItem(1.0, contribution=10.0, stake=100.0, reward=25.0)
-    assert participant_utility(binding, 1.0, 0.1, 0.5) == pytest.approx(0.0)
-
-
-def test_publisher_profit_cases():
-    item = ContractItem(1.0, contribution=10.0, stake=100.0, reward=25.0)
-    assert publisher_profit(item, 36.55, 1.0, 0.1) == pytest.approx(11.55)
-    assert publisher_profit(item, 999.0, 0.0, 0.1) == pytest.approx(10.0)
-    assert publisher_profit(item, 25.0, 1.0, 0.1) == 0.0
-
-
-def test_expected_profit_weighted_mean():
-    items = [ContractItem(2.0, 5.0, 100.0, 10.0), ContractItem(1.0, 5.0, 100.0, 10.0)]
-    menu = ContractMenu(items=items, probabilities=[0.3, 0.7])
-    # compliances 1: profits are V - R = 10 and 20
-    assert expected_profit(menu, [20.0, 30.0], [1.0, 1.0], 0.1) == pytest.approx(17.0)
-
-
-def test_expected_profit_single_and_symmetric():
-    item = ContractItem(1.0, 5.0, 100.0, 10.0)
-    single = ContractMenu(items=[item], probabilities=[1.0])
-    assert expected_profit(single, [30.0], [1.0], 0.1) == pytest.approx(20.0)
-    pair = ContractMenu(items=[ContractItem(2.0, 5.0, 100.0, 10.0), item],
-                        probabilities=[0.5, 0.5])
-    assert expected_profit(pair, [30.0, 30.0], [1.0, 1.0], 0.1) == pytest.approx(20.0)
-
-
-def test_menu_probability_validation():
-    item = ContractItem(1.0, 5.0, 100.0, 10.0)
-    with pytest.raises(ProbabilityError):
-        ContractMenu(items=[item], probabilities=[0.9]).validate()
-    with pytest.raises(ProbabilityError):
-        ContractMenu(items=[ContractItem(1.0, 5.0, 1.0, 1.0),
-                            ContractItem(2.0, 5.0, 1.0, 1.0)],
-                     probabilities=[0.5, 0.5]).validate()  # ascending types
-
-
-# --- IR / IC ---------------------------------------------------------------
-
-def _menu(cs, rewards):
-    items = [ContractItem(float(len(cs) - i), c, 100.0, r)
-             for i, (c, r) in enumerate(zip(cs, rewards))]
-    return ContractMenu(items=items, probabilities=[1.0 / len(items)] * len(items))
-
-
-def test_check_ir_binding():
-    cs = [2.0, 4.0, 6.0]
-    menu = _menu(cs, [effort_cost(c, CFG.gamma_c) for c in cs])
-    report = check_IR(menu, CFG.gamma_c, CFG.stake_penalty_factor)
-    assert report.satisfaction_rate == 1.0
-    assert report.min_utility == pytest.approx(0.0, abs=1e-12)
-
-
-def test_check_ir_violated():
-    cs = [2.0, 4.0]
-    menu = _menu(cs, [effort_cost(c, CFG.gamma_c) - 1.0 for c in cs])
-    report = check_IR(menu, CFG.gamma_c, CFG.stake_penalty_factor)
-    assert report.satisfaction_rate == 0.0
-
-
-def test_check_ic_single_type_trivial():
-    report = check_IC([[5.0]])
-    assert report.satisfied and report.worst_margin <= 0.0
-
-
-def test_check_ic_detects_dominating_item():
-    # type 1 strictly prefers item 2: margin is the utility gap
-    matrix = [[0.0, 5.0], [1.0, 3.0]]
-    report = check_IC(matrix)
-    assert not report.satisfied
-    assert report.worst_margin == pytest.approx(5.0)
-    assert report.truthful == [False, True]
-
-
-def test_check_ic_identical_items_zero_margin():
-    matrix = [[2.0, 2.0], [2.0, 2.0]]
-    report = check_IC(matrix)
-    assert report.satisfied
-    assert report.worst_margin == pytest.approx(0.0, abs=1e-15)
-
-
-def test_monotone_ir_binding_menu_is_ic():
-    # costs identical across types and rewards exactly covering costs:
-    # every cell of the utility matrix is zero, margins bind at equality
-    cs = [2.0, 5.0, 8.0]
-    rewards = [effort_cost(c, CFG.gamma_c) for c in cs]
-    matrix = [[rewards[j] - effort_cost(cs[j], CFG.gamma_c) for j in range(3)]
-              for _ in range(3)]
-    report = check_IC(matrix)
-    assert report.worst_margin >= -1e-9
-    assert report.satisfied
 
 
 # --- closed form ------------------------------------------------------------
