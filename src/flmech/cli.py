@@ -218,7 +218,7 @@ def cmd_contract_opt(args) -> int:
     doc = {**asdict(solution), "closed_form": asdict(closed)}
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
-    if args.out:
+    if args.out or os.environ.get("FLMECH_OUT"):
         out_dir = _resolve_out(args)
         (out_dir / "contract.json").write_text(text + "\n")
         _write_manifest(out_dir, "contract-opt", cfg, args.config, [cfg.seed], ["contract.json"])

@@ -234,7 +234,10 @@ def solve_constrained(cfg: SystemConfig, ctx: Optional[ContractContext] = None,
     slope * tau * span / X_c, where sigmoid(u) = (1 + sqrt(1 - 4y)) / 2.
 
     The returned reward sits _IR_MARGIN above the cost so the participant's
-    utility stays strictly positive. The stake comes from the same equation
+    utility stays strictly positive. Rationality therefore holds by
+    construction: every solve that returns has ir_satisfaction_rate 1.0 and
+    min_utility equal to _IR_MARGIN up to the rounding of cost + _IR_MARGIN,
+    so neither field can report a violation. The stake comes from the same equation
     as the closed form and raises DegenerateContract where that has no
     positive solution. diagnostics["grid_gap"] reports, without enforcing a
     limit, the distance from grid_oracle's optimum over the 2001-point grid

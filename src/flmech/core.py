@@ -337,7 +337,10 @@ class RngStream:
     """Deterministic labeled randomness.
 
     One root seed; every stochastic draw happens on a sub-stream labeled by
-    (purpose tag, round, node id). Identical (seed, label) always yields the
+    (purpose tag, round, node). The simulation labels its streams by
+    (purpose, round) only and leaves `node` at 0: a round's contributions
+    come from one ("contrib", t) stream in batches of n values, node i taking
+    element i of each batch. Identical (seed, label) always yields the
     identical generator, and distinct labels yield statistically independent
     generators, so reordering independent computations cannot change results.
     """

@@ -11,10 +11,14 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import committee as committee_mod
 from . import detection as detection_mod
 from . import reward as reward_mod
-from .behavior import sample_contribution
+# `sample_contribution` is not called here; it stays a name of this module
+# because bench/spans.py wraps `engine.sample_contribution` by that name.
+from .behavior import sample_contribution, sample_contributions  # noqa: F401
 from .contract import contribution_value
 from .core import (
     Node, PatternKind, Role, RngStream, RoundRecord, SystemConfig, attack_patterns,
@@ -89,7 +93,8 @@ def new_world(cfg: SystemConfig, seed: int | None = None) -> WorldState:
 def collect_contributions(state: WorldState) -> tuple[list[float], list[float], list[int]]:
     """Sample every node's contribution and completion time for the current
     round and append the contribution to the node's history, which keeps
-    the last window+1 entries.
+    the last window+1 entries. The whole round draws from one
+    ("contrib", t) stream, node i taking element i of each batch.
 
     Returns (contributions, completion_times, timeouts), the first two in
     node order. With a finite submission deadline, late submissions are
@@ -99,24 +104,22 @@ def collect_contributions(state: WorldState) -> tuple[list[float], list[float], 
     cfg, t = state.cfg, state.t
     keep = cfg.window + 1
     attack = state.schedule[t]
-    contributions: list[float] = []
-    completion_times: list[float] = []
+    kinds = [PatternKind.NORMAL if nd.role is Role.HONEST else attack for nd in state.nodes]
+    c, tau = sample_contributions(kinds, cfg, state.rng.stream("contrib", t))
     timeouts: list[int] = []
-    for nd in state.nodes:
-        kind = PatternKind.NORMAL if nd.role is Role.HONEST else attack
-        c, tau = sample_contribution(kind, cfg, state.rng.stream("contrib", t, nd.id))
-        if cfg.t_max is not None and tau > cfg.t_max:
-            c = 0.0
-            timeouts.append(nd.id)
+    if cfg.t_max is not None:
+        late = tau > cfg.t_max
+        c[late] = 0.0
+        timeouts = np.flatnonzero(late).tolist()
+    contributions = c.tolist()
+    for nd, c_i in zip(state.nodes, contributions):
         history = nd.contribution_history
-        history.append(c)
+        history.append(c_i)
         if len(history) > keep:
             del history[0]
-        if c > 0.0:
+        if c_i > 0.0:
             nd.participation += 1
-        contributions.append(c)
-        completion_times.append(tau)
-    return contributions, completion_times, timeouts
+    return contributions, tau.tolist(), timeouts
 
 
 def _snapshot_nodes(nodes: list[Node]) -> list[tuple]:

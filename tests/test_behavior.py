@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flmech.behavior import sample_contribution
+from flmech.behavior import sample_contribution, sample_contributions
 from flmech.core import (
     ConfigError, PatternKind, ScheduleError, SystemConfig, attack_patterns, validate_config,
 )
@@ -79,8 +79,8 @@ def test_random_mix_zero_fraction():
     rng = np.random.default_rng(99)
     for p_high, draws_n in ((CFG.random_mix_p_high, 100_000), (0.0, 2_000), (1.0, 2_000)):
         cfg = dataclasses.replace(CFG, random_mix_p_high=p_high)
-        draws = [sample_contribution(PatternKind.RANDOM_MIX, cfg, rng)[0] for _ in range(draws_n)]
-        zero_fraction = np.mean(np.asarray(draws) == 0.0)
+        draws, _ = sample_contributions([PatternKind.RANDOM_MIX] * draws_n, cfg, rng)
+        zero_fraction = np.mean(draws == 0.0)
         assert abs(zero_fraction - (1.0 - p_high)) < 0.01
 
 
@@ -88,8 +88,7 @@ def test_all_patterns_clamped_to_contribution_range():
     # 1e6 draws split across patterns; every one must land in [c_min, c_max].
     rng = np.random.default_rng(7)
     for pattern in PatternKind:
-        draws = np.asarray([sample_contribution(pattern, CFG, rng)[0]
-                            for _ in range(250_000)])
+        draws, _ = sample_contributions([pattern] * 250_000, CFG, rng)
         assert draws.min() >= CFG.c_min
         assert draws.max() <= CFG.c_max
 
@@ -98,3 +97,24 @@ def test_false_high_concentrates_near_saturation():
     rng = np.random.default_rng(5)
     draws = [sample_contribution(PatternKind.FALSE_HIGH, CFG, rng)[0] for _ in range(10_000)]
     assert abs(np.mean(draws) - CFG.false_high_mean) < 0.05
+
+
+def test_draws_do_not_depend_on_pattern():
+    # every variable is drawn for every node before patterns are applied, so
+    # node i's draws are the same whatever pattern any node follows
+    n = 200
+    kinds = [PatternKind.NORMAL if i % 3 else RANDOM_MIX for i in range(n)]
+    normal = [i for i, k in enumerate(kinds) if k is PatternKind.NORMAL]
+    honest_c, honest_tau = sample_contributions([PatternKind.NORMAL] * n, CFG,
+                                                np.random.default_rng(3))
+    c, tau = sample_contributions(kinds, CFG, np.random.default_rng(3))
+    assert np.array_equal(c[normal], honest_c[normal])
+    assert np.array_equal(tau, honest_tau)
+    _, zero_tau = sample_contributions([ZERO] * n, CFG, np.random.default_rng(3))
+    assert np.array_equal(zero_tau, honest_tau)
+
+
+def test_scalar_sampler_is_the_batch_of_one():
+    for pattern in PatternKind:
+        c, tau = sample_contributions([pattern], CFG, np.random.default_rng(11))
+        assert sample_contribution(pattern, CFG, np.random.default_rng(11)) == (c[0], tau[0])

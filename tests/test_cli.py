@@ -277,6 +277,21 @@ def test_contract_opt_json(capsys):
     assert "grid_gap" in doc["diagnostics"]
 
 
+def test_contract_opt_writes_only_when_an_out_dir_is_named(tmp_path, monkeypatch, capsys):
+    # neither --out nor $FLMECH_OUT: the report is printed and nothing written
+    monkeypatch.delenv("FLMECH_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["contract-opt"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert list(tmp_path.iterdir()) == []
+    env_out = tmp_path / "envout"
+    monkeypatch.setenv("FLMECH_OUT", str(env_out))
+    assert main(["contract-opt"]) == 0
+    assert json.loads(capsys.readouterr().out) == printed
+    assert json.loads((env_out / "contract.json").read_text()) == printed
+    assert json.loads((env_out / "manifest.json").read_text())["subcommand"] == "contract-opt"
+
+
 def test_contract_opt_optimum_at_c_max_with_small_stake(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("reward_pool = 1427.5165286701417\n"

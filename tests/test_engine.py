@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flmech.core import Role, SystemConfig
+from flmech.core import RngStream, Role, SystemConfig
 from flmech.engine import iter_rounds, new_world, run_round, run_simulation
 
 FAST = dataclasses.replace(SystemConfig(), n_nodes=30, rounds=12,
@@ -268,8 +268,9 @@ def test_cooldowns_stay_in_configured_range():
 
 
 def test_honest_contributions_independent_of_attack_schedule():
-    # honest draws come from role-agnostic labeled streams, so changing the
-    # malicious schedule must not move any honest node's contributions
+    # each round draws every variable for every node before patterns apply,
+    # so changing the malicious schedule must not move any honest node's
+    # contributions
     cfg_a = FAST
     cfg_b = dataclasses.replace(FAST, attack_schedule=[(0, FAST.rounds, "zero")])
     a = run_simulation(cfg_a, seed=19)
@@ -283,9 +284,9 @@ def test_honest_contributions_independent_of_attack_schedule():
 
 def test_mechanism_never_reads_role_tag():
     # Tagging half the population malicious but scheduling them on the
-    # normal pattern produces draw-for-draw identical contributions (streams
-    # are labeled by node id, not role). Every mechanism output must then be
-    # byte-identical to the all-honest run.
+    # normal pattern produces draw-for-draw identical contributions (node i
+    # takes element i of each round's batch, whatever its role). Every
+    # mechanism output must then be byte-identical to the all-honest run.
     honest_cfg = dataclasses.replace(FAST, malicious_percent=0.0)
     tagged_cfg = dataclasses.replace(
         FAST, malicious_percent=0.5,
@@ -294,6 +295,25 @@ def test_mechanism_never_reads_role_tag():
     b = run_simulation(tagged_cfg, seed=13)
     assert sum(nd.role is Role.MALICIOUS for nd in b.nodes) == 15
     assert record_bytes(a.records) == record_bytes(b.records)
+
+
+def test_one_rng_stream_per_purpose_and_round(monkeypatch):
+    # roles once, then one contrib and one committee stream per round,
+    # whatever the population size
+    labels = []
+    stream = RngStream.stream
+
+    def counting(self, purpose, round_=0, node=0):
+        labels.append((purpose, round_, node))
+        return stream(self, purpose, round_, node)
+
+    monkeypatch.setattr(RngStream, "stream", counting)
+    cfg = dataclasses.replace(FAST, n_nodes=50, rounds=8)
+    run_simulation(cfg, seed=0)
+    assert len(labels) == 1 + 2 * cfg.rounds
+    assert labels[0] == ("roles", 0, 0)
+    assert sorted(labels[1:]) == sorted((p, t, 0) for t in range(cfg.rounds)
+                                        for p in ("contrib", "committee"))
 
 
 def test_simulation_does_not_import_scipy():

@@ -19,18 +19,18 @@ GOLDEN = {
     "criterion9": (
         ["--config", "{cfg}"],
         {
-            "rounds.csv": "415ed3fc905a7fb052a02b100e8a6f11a109fc3ab2c42ee7dad672aaba5d4764",
-            "metrics.csv": "78f45951306248328e08afd316cdd04b93b15a269f2a102aa838aef2b15e2005",
-            "summary.json": "7c6f5cf8086b8e6baa312f2b40f80130a1ac61d486613cb9625f02fd0a03dd7e",
+            "rounds.csv": "fcedf3497743acc516a624088225b1baccf758141ab636dc59103350783ed2d2",
+            "metrics.csv": "cf02a142f27e020de2e0ced2a8a1d9864cce08fe8a10dc52c4786706a4edf739",
+            "summary.json": "e1af714be0a4123020789b60494bf673210a37c244e823040a80801e7e971470",
         },
     ),
     # `flmech simulate --seed 0` on the built-in default config (n=100, T=90)
     "default_seed0": (
         ["--seed", "0"],
         {
-            "rounds.csv": "01425d3528510b40376553f95d327abc046351e78f697d9bfbd02290fd70507c",
-            "metrics.csv": "84a66305525626fb1e4aa072d8297d5026b40323ad416b16f5e86d78accbcd94",
-            "summary.json": "ae43bd7f1bb3b962373d09f615d6b4d8414cfed936dbce8b5c363ef03f408fdb",
+            "rounds.csv": "7f22f37e30ecfa83b94373db61a0d3cff7971ee1a2f408a7ad58a48a4597ef77",
+            "metrics.csv": "9969b67f7e1981e6968c68df3868084086be614c2a5e0ff6dde2b3ec2e396bb4",
+            "summary.json": "2fc4794db135e49f2439639e156e26e97e4af10a7e5ddf0bbfaf14890c80024d",
         },
     ),
 }
