@@ -33,6 +33,7 @@ from .core import (
 # bench/spans.py wraps `cli.run_simulation` by that name.
 from .engine import WorldState, iter_rounds, new_world, run_simulation  # noqa: F401
 from .metrics import mean
+from .reputation import quality
 
 SCHEMA_VERSION = 1
 ROUNDS_COLUMNS = ["round", "node_id", "role", "contribution", "tau", "quality",
@@ -259,21 +260,33 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"bad manifest {manifest_path}: {type(exc).__name__}: {exc}") from None
 
     per_round_paid: dict[int, float] = {}
-    caps_ok, override_ok, finite_ok, in_order = True, True, True, True
+    per_round_members: dict[int, int] = {}
+    caps_ok = override_ok = finite_ok = in_order = quality_ok = penalty_ok = True
     committee_rounds: dict[int, list[int]] = {}
+    # each node's reputation after the round before
+    previous_rep = [cfg.initial_reputation] * cfg.n_nodes
     # row k of rounds.csv is round k // n_nodes, node k % n_nodes; of metrics.csv, round k
     rounds_rows = metrics_rows = 0
     try:
         bad = [name for name, digest in digests.items() if _sha256(out_dir / name) != digest]
         for row in _csv_rows(out_dir / "rounds.csv", ROUNDS_COLUMNS, ROUNDS_TYPES):
-            t, node, _role, contribution, _tau, _quality, rep, _penalty, reward, committee, _ = row
+            t, node, _role, contribution, _tau, q, rep, penalty, reward, committee, detected = row
             per_round_paid[t] = per_round_paid.get(t, 0.0) + reward
             caps_ok = caps_ok and 0.0 <= rep <= cfg.r_max(t) + 1e-9
             override_ok = override_ok and (contribution != 0.0 or reward == 0.0)
-            finite_ok = finite_ok and all(map(math.isfinite, row[3:]))
+            in_order = in_order and divmod(rounds_rows, cfg.n_nodes) == (t, node)
+            finite = all(map(math.isfinite, row[3:]))
+            finite_ok = finite_ok and finite
+            if finite:
+                quality_ok = quality_ok and q == quality(contribution, cfg.c_min, cfg.c_max)
+            if finite and in_order:
+                penalty_ok = penalty_ok and (0.0 <= penalty <= previous_rep[node] / 2.0
+                                             if detected else penalty == 0.0)
+            if in_order:
+                previous_rep[node] = rep
             if committee:
                 committee_rounds.setdefault(node, []).append(t)
-            in_order = in_order and divmod(rounds_rows, cfg.n_nodes) == (t, node)
+                per_round_members[t] = per_round_members.get(t, 0) + 1
             rounds_rows += 1
         for row in _csv_rows(out_dir / "metrics.csv", METRICS_COLUMNS, METRICS_TYPES):
             finite_ok = finite_ok and all(map(math.isfinite, row))
@@ -283,7 +296,9 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    # Each check holds only when its comparison is true, so a NaN fails it.
+    # Each check holds only when its comparison is true, so a NaN fails it; the
+    # quality and penalty checks skip rows with a non-finite cell, and the penalty
+    # check stops at the first row out of order, whose previous round is unknown.
     bound = cfg.reward_pool + cfg.committee_size * cfg.committee_bonus
     checks = [
         ("file_hashes_match_manifest", not bad, ", ".join(bad)),
@@ -295,6 +310,10 @@ def cmd_verify(args) -> int:
          all(b - a > cfg.cooldown_period for ts in map(sorted, committee_rounds.values())
              for a, b in zip(ts, ts[1:])), ""),
         ("numeric_cells_finite", finite_ok, ""),
+        ("quality_is_sigmoid_of_contribution", quality_ok, ""),
+        ("penalty_only_if_detected_at_most_half_reputation", penalty_ok, ""),
+        (f"committee_within_size (<= {cfg.committee_size})",
+         all(size <= cfg.committee_size for size in per_round_members.values()), ""),
         (f"rows_cover_every_round_and_node ({cfg.rounds} rounds x {cfg.n_nodes} nodes)",
          in_order and rounds_rows == cfg.rounds * cfg.n_nodes and metrics_rows == cfg.rounds,
          f"{rounds_rows} rounds.csv rows, {metrics_rows} metrics.csv rows"

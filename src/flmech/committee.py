@@ -5,6 +5,10 @@ within each stratum with probability proportional to reputation^gamma,
 without replacement. Unfilled quota spills into a global pool of the
 remaining eligible nodes. Selected members enter a cooldown that keeps them
 out of the next few committees.
+
+A sample keys each candidate by u^(1/w) for one uniform u, as log1p(-u)/w,
+and takes the largest keys (Efraimidis & Spirakis, "Weighted random sampling
+with a reservoir", IPL 2006): the distribution of sequential weighted draws.
 """
 
 from dataclasses import dataclass
@@ -36,36 +40,21 @@ def stratum_quota(committee_size: int, strata: int, k: int) -> int:
     return base + (1 if k <= committee_size % strata else 0)
 
 
-def weighted_sample_without_replacement(candidates: list[int], weights: list[float],
-                                        count: int, rng: np.random.Generator) -> list[int]:
-    """Sequential weighted sampling without replacement.
-
-    At each draw, candidate i is picked with probability w_i over the sum of
-    the remaining weights. If every remaining weight is zero the draw is
-    uniform, so zero-weight candidates can only be picked once all
-    positive-weight ones are exhausted.
+def weighted_sample_without_replacement(candidates, weights, count: int,
+                                        rng: np.random.Generator) -> list:
+    """Weighted sampling without replacement by Efraimidis-Spirakis keys: one
+    uniform u_i per candidate, keyed by log1p(-u_i) / w_i, and the `count`
+    largest keys first. This is the distribution of sequential draws that
+    each pick candidate i with probability w_i over the remaining weight. A
+    zero weight keys to -inf, after every positive one; ties break by
+    ascending u, so zero-weight candidates come in uniform order.
     """
     if count > len(candidates):
         raise SampleError(f"cannot sample {count} from {len(candidates)} candidates")
-    ids = list(candidates)
-    wts = [float(w) for w in weights]
-    picks = []
-    for _ in range(count):
-        total = sum(wts)
-        if total > 0.0:
-            r = rng.random() * total
-            acc = 0.0
-            idx = len(wts) - 1
-            for j, w in enumerate(wts):
-                acc += w
-                if r < acc:
-                    idx = j
-                    break
-        else:
-            idx = int(rng.integers(len(ids)))
-        picks.append(ids.pop(idx))
-        wts.pop(idx)
-    return picks
+    u = rng.random(len(candidates))
+    w = np.asarray(weights, dtype=float)
+    keys = np.divide(np.log1p(-u), w, out=np.full(len(u), -np.inf), where=w > 0.0)
+    return [candidates[i] for i in np.lexsort((u, -keys))[:count]]
 
 
 def select_committee(nodes: list[Node], cfg: SystemConfig,
@@ -76,38 +65,30 @@ def select_committee(nodes: list[Node], cfg: SystemConfig,
     smaller with undersized=True. Ties in the reputation sort break by
     ascending node id so stratification is deterministic.
     """
-    n = len(nodes)
-    L = cfg.strata
-    K = cfg.committee_size
-    order = sorted(nodes, key=lambda nd: (-nd.reputation, nd.id))
-    bounds = [(k * n) // L for k in range(L + 1)]
-    quotas = [stratum_quota(K, L, k) for k in range(1, L + 1)]
+    n, L, K = len(nodes), cfg.strata, cfg.committee_size
+    ids = np.array([nd.id for nd in nodes])
+    reputation = np.array([nd.reputation for nd in nodes], dtype=float)
+    cooldown = np.array([nd.cooldown for nd in nodes])
+    weight = reputation ** cfg.gamma
+    ranked = np.lexsort((ids, -reputation))
+    eligible_by_rank = cooldown[ranked] == 0
 
     picked: list[int] = []
-    eligible_all: list[Node] = []
-    remaining = K
     for k in range(L):
-        stratum = order[bounds[k]:bounds[k + 1]]
-        elig = [nd for nd in stratum if nd.cooldown == 0]
-        eligible_all.extend(elig)
-        if not elig or remaining <= 0:
-            continue
-        m_k = min(max(1, min(quotas[k], len(elig))), remaining)
-        weights = [nd.reputation ** cfg.gamma for nd in elig]
-        picked.extend(weighted_sample_without_replacement(
-            [nd.id for nd in elig], weights, m_k, rng))
-        remaining -= m_k
+        lo, hi = (k * n) // L, ((k + 1) * n) // L
+        elig = ranked[lo:hi][eligible_by_rank[lo:hi]]
+        if elig.size and len(picked) < K:
+            m_k = min(max(1, min(stratum_quota(K, L, k + 1), elig.size)), K - len(picked))
+            picked.extend(weighted_sample_without_replacement(elig, weight[elig], m_k, rng))
 
-    if remaining > 0:
-        chosen = set(picked)
-        pool = [nd for nd in eligible_all if nd.id not in chosen]
-        take = min(remaining, len(pool))
+    if len(picked) < K:
+        pool_mask = cooldown == 0
+        pool_mask[picked] = False
+        pool = np.flatnonzero(pool_mask)
+        take = min(K - len(picked), pool.size)
         if take > 0:
-            weights = [nd.reputation ** cfg.gamma for nd in pool]
-            picked.extend(weighted_sample_without_replacement(
-                [nd.id for nd in pool], weights, take, rng))
-
-    return CommitteeSelection(members=picked, undersized=len(picked) < K)
+            picked.extend(weighted_sample_without_replacement(pool, weight[pool], take, rng))
+    return CommitteeSelection(members=ids[picked].tolist(), undersized=len(picked) < K)
 
 
 def update_cooldowns(nodes: list[Node], members: list[int], cfg: SystemConfig) -> None:

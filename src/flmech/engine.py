@@ -103,9 +103,9 @@ def collect_contributions(state: WorldState) -> tuple[list[float], list[float], 
     """
     cfg, t = state.cfg, state.t
     keep = cfg.window + 1
-    attack = state.schedule[t]
-    kinds = [PatternKind.NORMAL if nd.role is Role.HONEST else attack for nd in state.nodes]
-    c, tau = sample_contributions(kinds, cfg, state.rng.stream("contrib", t))
+    malicious = np.array([nd.role is Role.MALICIOUS for nd in state.nodes], dtype=bool)
+    c, tau = sample_contributions(state.schedule[t], malicious, cfg,
+                                  state.rng.stream("contrib", t))
     timeouts: list[int] = []
     if cfg.t_max is not None:
         late = tau > cfg.t_max

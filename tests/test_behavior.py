@@ -79,7 +79,7 @@ def test_random_mix_zero_fraction():
     rng = np.random.default_rng(99)
     for p_high, draws_n in ((CFG.random_mix_p_high, 100_000), (0.0, 2_000), (1.0, 2_000)):
         cfg = dataclasses.replace(CFG, random_mix_p_high=p_high)
-        draws, _ = sample_contributions([PatternKind.RANDOM_MIX] * draws_n, cfg, rng)
+        draws, _ = sample_contributions(RANDOM_MIX, np.ones(draws_n, dtype=bool), cfg, rng)
         zero_fraction = np.mean(draws == 0.0)
         assert abs(zero_fraction - (1.0 - p_high)) < 0.01
 
@@ -88,7 +88,7 @@ def test_all_patterns_clamped_to_contribution_range():
     # 1e6 draws split across patterns; every one must land in [c_min, c_max].
     rng = np.random.default_rng(7)
     for pattern in PatternKind:
-        draws, _ = sample_contributions([pattern] * 250_000, CFG, rng)
+        draws, _ = sample_contributions(pattern, np.ones(250_000, dtype=bool), CFG, rng)
         assert draws.min() >= CFG.c_min
         assert draws.max() <= CFG.c_max
 
@@ -103,18 +103,19 @@ def test_draws_do_not_depend_on_pattern():
     # every variable is drawn for every node before patterns are applied, so
     # node i's draws are the same whatever pattern any node follows
     n = 200
-    kinds = [PatternKind.NORMAL if i % 3 else RANDOM_MIX for i in range(n)]
-    normal = [i for i, k in enumerate(kinds) if k is PatternKind.NORMAL]
-    honest_c, honest_tau = sample_contributions([PatternKind.NORMAL] * n, CFG,
+    malicious = np.arange(n) % 3 == 0
+    honest_c, honest_tau = sample_contributions(RANDOM_MIX, np.zeros(n, dtype=bool), CFG,
                                                 np.random.default_rng(3))
-    c, tau = sample_contributions(kinds, CFG, np.random.default_rng(3))
-    assert np.array_equal(c[normal], honest_c[normal])
+    c, tau = sample_contributions(RANDOM_MIX, malicious, CFG, np.random.default_rng(3))
+    assert np.array_equal(c[~malicious], honest_c[~malicious])
     assert np.array_equal(tau, honest_tau)
-    _, zero_tau = sample_contributions([ZERO] * n, CFG, np.random.default_rng(3))
+    _, zero_tau = sample_contributions(ZERO, np.ones(n, dtype=bool), CFG,
+                                       np.random.default_rng(3))
     assert np.array_equal(zero_tau, honest_tau)
 
 
 def test_scalar_sampler_is_the_batch_of_one():
     for pattern in PatternKind:
-        c, tau = sample_contributions([pattern], CFG, np.random.default_rng(11))
+        c, tau = sample_contributions(pattern, np.ones(1, dtype=bool), CFG,
+                                      np.random.default_rng(11))
         assert sample_contribution(pattern, CFG, np.random.default_rng(11)) == (c[0], tau[0])

@@ -442,6 +442,61 @@ def test_verify_fails_rows_that_do_not_cover_the_run(fast_config, tmp_path, caps
     assert failed == [f"FAIL rows_cover_every_round_and_node (12 rounds x 30 nodes) ({detail})"]
 
 
+QUALITY, REPUTATION, PENALTY, COMMITTEE, DETECTED = (
+    ROUNDS_COLUMNS.index(c) for c in ("quality", "reputation", "penalty", "committee", "detected"))
+
+
+def _wrong_quality(rows):
+    rows[1][QUALITY] = "0.99"
+
+
+def _penalty_without_detection(rows):
+    next(r for r in rows[1:] if r[DETECTED] == "0")[PENALTY] = "1.0"
+
+
+def _penalty_over_half_reputation(rows):
+    # the first detected row's penalty raised to the node's whole reputation
+    # of the round before (30 rows up)
+    k = next(k for k, r in enumerate(rows) if r[DETECTED] == "1")
+    assert float(rows[k - 30][REPUTATION]) > 0.0
+    rows[k][PENALTY] = rows[k - 30][REPUTATION]
+
+
+def _extra_committee_member(rows):
+    # a sixth member for a full committee, on a node that sat on no committee
+    # within cooldown_period (3) rounds of it, so every gap still passes
+    member_rounds, size = {}, {}
+    for r in rows[1:]:
+        if r[COMMITTEE] == "1":
+            member_rounds.setdefault(r[1], []).append(int(r[0]))
+            size[r[0]] = size.get(r[0], 0) + 1
+    next(r for r in rows[1:] if r[COMMITTEE] == "0" and size.get(r[0]) == 5
+         and all(abs(int(r[0]) - s) > 3 for s in member_rounds.get(r[1], [])))[COMMITTEE] = "1"
+
+
+@pytest.mark.parametrize("edit, check", [
+    # each edit keeps every cell finite and passes all checks that read no other row
+    (_wrong_quality, "quality_is_sigmoid_of_contribution"),
+    (_penalty_without_detection, "penalty_only_if_detected_at_most_half_reputation"),
+    (_penalty_over_half_reputation, "penalty_only_if_detected_at_most_half_reputation"),
+    (_extra_committee_member, "committee_within_size (<= 5)"),
+], ids=["quality of row 1 set to 0.99", "penalty on an undetected row",
+        "penalty above half the previous reputation", "sixth committee member"])
+def test_verify_fails_row_that_disagrees_with_the_mechanism(fast_config, tmp_path, capsys,
+                                                           edit, check):
+    out = tmp_path / "vm"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    rows = read_rows(out / "rounds.csv")
+    edit(rows)
+    with (out / "rounds.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    rehash(out, "rounds.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == [f"FAIL {check}"]
+
+
 def test_verify_passes_header_only_files_of_zero_rounds(tmp_path, capsys):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text("n_nodes = 5\nrounds = 0\n")

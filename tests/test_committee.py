@@ -95,6 +95,28 @@ def test_inclusion_probability_monotone_in_weight():
         assert hi > lo
 
 
+def test_inclusion_frequency_matches_enumerated_probability():
+    # the sampler against the enumerated sequential-draw oracle, beyond one pick
+    weights = [1.0, 2.0, 3.0, 4.0]
+    rng = np.random.default_rng(8)
+    trials = 10_000
+    for count in (2, 3):
+        counts = np.zeros(len(weights))
+        for _ in range(trials):
+            counts[weighted_sample_without_replacement([0, 1, 2, 3], weights, count, rng)] += 1
+        expected = _inclusion_probabilities(weights, count)
+        assert np.allclose(counts / trials, expected, atol=0.02), (count, counts / trials)
+
+
+def test_all_zero_weights_pick_uniformly():
+    rng = np.random.default_rng(9)
+    k, trials = 4, 10_000
+    first = np.zeros(k)
+    for _ in range(trials):
+        first[weighted_sample_without_replacement(list(range(k)), [0.0] * k, 2, rng)[0]] += 1
+    assert np.allclose(first / trials, 1 / k, atol=0.02), first / trials
+
+
 def test_select_committee_respects_quotas():
     cfg = SystemConfig()
     nodes = [make_node(i) for i in range(100)]

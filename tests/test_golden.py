@@ -19,18 +19,18 @@ GOLDEN = {
     "criterion9": (
         ["--config", "{cfg}"],
         {
-            "rounds.csv": "fcedf3497743acc516a624088225b1baccf758141ab636dc59103350783ed2d2",
-            "metrics.csv": "cf02a142f27e020de2e0ced2a8a1d9864cce08fe8a10dc52c4786706a4edf739",
-            "summary.json": "e1af714be0a4123020789b60494bf673210a37c244e823040a80801e7e971470",
+            "rounds.csv": "8a5a4a9e3d820700a1288c753b3dc61aa639d478563ef036b3aa3f27493df017",
+            "metrics.csv": "0eb8e82e26f8e3e821910b4d0ac844544d85ef3405e2323e77cb29187a14cb6b",
+            "summary.json": "180b2d5efe4639c0ec020319f98faca805050eecc93c1e502e6c4f39719539da",
         },
     ),
     # `flmech simulate --seed 0` on the built-in default config (n=100, T=90)
     "default_seed0": (
         ["--seed", "0"],
         {
-            "rounds.csv": "7f22f37e30ecfa83b94373db61a0d3cff7971ee1a2f408a7ad58a48a4597ef77",
-            "metrics.csv": "9969b67f7e1981e6968c68df3868084086be614c2a5e0ff6dde2b3ec2e396bb4",
-            "summary.json": "2fc4794db135e49f2439639e156e26e97e4af10a7e5ddf0bbfaf14890c80024d",
+            "rounds.csv": "83972cdfe6ce4d52e4928c72ea9d583f208db67ad3cbc6d7a5b93d46666486eb",
+            "metrics.csv": "5b1c641704a5214e05d1423cb7a1fdd89ce59ddd3537f99d72c3b5d94b5604e7",
+            "summary.json": "d98ccfed2045b5332cf7b0058e0b422135a9d6ba35a2764dde3ec398a355f3e2",
         },
     ),
 }
