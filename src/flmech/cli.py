@@ -24,6 +24,8 @@ from collections.abc import Iterable
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from .contract import DegenerateContract, optimal_contract_closed_form, solve_constrained
 from .core import (
     _CONFIG_FIELDS, ConfigError, DomainError, Role, RoundRecord, SystemConfig, _parse_value,
@@ -32,7 +34,7 @@ from .core import (
 # `run_simulation` is not called here; it stays a name of this module because
 # bench/spans.py wraps `cli.run_simulation` by that name.
 from .engine import WorldState, iter_rounds, new_world, run_simulation  # noqa: F401
-from .metrics import mean
+from .metrics import gini, jain_index, mean
 from .reputation import quality
 
 SCHEMA_VERSION = 1
@@ -62,19 +64,33 @@ def _round_rows(rec: RoundRecord, roles: list[str]):
                rec.rewards[i], int(i in committee), int(i in detected)]
 
 
+def _role_means(values: list[float], honest: list[int], malicious: list[int]) -> list[float]:
+    return [mean([values[i] for i in honest]), mean([values[i] for i in malicious])]
+
+
 def _metrics_row(rec: RoundRecord, honest: list[int], malicious: list[int]) -> list:
     return [rec.round, rec.jain_fairness, rec.gini, len(rec.detected),
-            mean([rec.reputation_after[i] for i in honest]),
-            mean([rec.reputation_after[i] for i in malicious]),
-            mean([rec.rewards[i] for i in honest]),
-            mean([rec.rewards[i] for i in malicious])]
+            *_role_means(rec.reputation_after, honest, malicious),
+            *_role_means(rec.rewards, honest, malicious)]
+
+
+def _metrics_from_rounds(rows: list[list], eps: float) -> list:
+    """The metrics.csv row that one whole round of rounds.csv rows (node
+    order) implies: the engine's metric functions, in the engine's order,
+    over the round's rewards, reputations, detected flags and role tags."""
+    rewards = [row[8] for row in rows]
+    honest_tag, malicious_tag = Role.HONEST.value, Role.MALICIOUS.value
+    honest = [i for i, row in enumerate(rows) if row[2] == honest_tag]
+    malicious = [i for i, row in enumerate(rows) if row[2] == malicious_tag]
+    return [rows[0][0], jain_index(rewards, eps), gini(rewards), sum(row[10] for row in rows),
+            *_role_means([row[6] for row in rows], honest, malicious),
+            *_role_means(rewards, honest, malicious)]
 
 
 def _role_ids(state: WorldState) -> tuple[list[int], list[int]]:
     """(honest ids, malicious ids), in node order."""
-    honest = [nd.id for nd in state.nodes if nd.role is Role.HONEST]
-    malicious = [nd.id for nd in state.nodes if nd.role is Role.MALICIOUS]
-    return honest, malicious
+    malicious = state.nodes.malicious
+    return np.flatnonzero(~malicious).tolist(), np.flatnonzero(malicious).tolist()
 
 
 def _csv_writer(fh, header: list[str]):
@@ -116,7 +132,7 @@ def export_simulation(state: WorldState, records: Iterable[RoundRecord], out_dir
     into an existing directory. Each record's rows are written as the record
     arrives, so `records` may be `iter_rounds(state)`; summary.json is taken
     from `state` once `records` is exhausted."""
-    roles = [nd.role.value for nd in state.nodes]
+    roles = np.where(state.nodes.malicious, Role.MALICIOUS.value, Role.HONEST.value).tolist()
     honest, malicious = _role_ids(state)
     with (out_dir / "rounds.csv").open("w", newline="") as rounds_fh, \
             (out_dir / "metrics.csv").open("w", newline="") as metrics_fh:
@@ -261,44 +277,62 @@ def cmd_verify(args) -> int:
 
     per_round_paid: dict[int, float] = {}
     per_round_members: dict[int, int] = {}
-    caps_ok = override_ok = finite_ok = in_order = quality_ok = penalty_ok = True
+    caps_ok = override_ok = finite_ok = in_order = quality_ok = penalty_ok = metrics_ok = True
     committee_rounds: dict[int, list[int]] = {}
+    # the metrics.csv row each whole, in-order, finite round of rounds.csv implies
+    implied_metrics: dict[int, list] = {}
+    metrics_mismatch = ""
     # each node's reputation after the round before
     previous_rep = [cfg.initial_reputation] * cfg.n_nodes
     # row k of rounds.csv is round k // n_nodes, node k % n_nodes; of metrics.csv, round k
     rounds_rows = metrics_rows = 0
     try:
         bad = [name for name, digest in digests.items() if _sha256(out_dir / name) != digest]
-        for row in _csv_rows(out_dir / "rounds.csv", ROUNDS_COLUMNS, ROUNDS_TYPES):
-            t, node, _role, contribution, _tau, q, rep, penalty, reward, committee, detected = row
-            per_round_paid[t] = per_round_paid.get(t, 0.0) + reward
-            caps_ok = caps_ok and 0.0 <= rep <= cfg.r_max(t) + 1e-9
-            override_ok = override_ok and (contribution != 0.0 or reward == 0.0)
-            in_order = in_order and divmod(rounds_rows, cfg.n_nodes) == (t, node)
-            finite = all(map(math.isfinite, row[3:]))
-            finite_ok = finite_ok and finite
-            if finite:
-                quality_ok = quality_ok and q == quality(contribution, cfg.c_min, cfg.c_max)
-            if finite and in_order:
-                penalty_ok = penalty_ok and (0.0 <= penalty <= previous_rep[node] / 2.0
-                                             if detected else penalty == 0.0)
-            if in_order:
-                previous_rep[node] = rep
-            if committee:
-                committee_rounds.setdefault(node, []).append(t)
-                per_round_members[t] = per_round_members.get(t, 0) + 1
-            rounds_rows += 1
+        rounds = itertools.groupby(_csv_rows(out_dir / "rounds.csv", ROUNDS_COLUMNS, ROUNDS_TYPES),
+                                   key=lambda row: row[0])
+        for t, group in rounds:
+            round_rows = list(group)
+            round_finite = True
+            for row in round_rows:
+                _, node, _role, contribution, _tau, q, rep, penalty, reward, committee, detected = row
+                per_round_paid[t] = per_round_paid.get(t, 0.0) + reward
+                caps_ok = caps_ok and 0.0 <= rep <= cfg.r_max(t) + 1e-9
+                override_ok = override_ok and (contribution != 0.0 or reward == 0.0)
+                in_order = in_order and divmod(rounds_rows, cfg.n_nodes) == (t, node)
+                finite = all(map(math.isfinite, row[3:]))
+                finite_ok = finite_ok and finite
+                round_finite = round_finite and finite
+                if finite:
+                    quality_ok = quality_ok and q == quality(contribution, cfg.c_min, cfg.c_max)
+                if finite and in_order:
+                    penalty_ok = penalty_ok and (0.0 <= penalty <= previous_rep[node] / 2.0
+                                                 if detected else penalty == 0.0)
+                if in_order:
+                    previous_rep[node] = rep
+                if committee:
+                    committee_rounds.setdefault(node, []).append(t)
+                    per_round_members[t] = per_round_members.get(t, 0) + 1
+                rounds_rows += 1
+            if in_order and round_finite and len(round_rows) == cfg.n_nodes:
+                implied_metrics[t] = _metrics_from_rounds(round_rows, cfg.epsilon)
         for row in _csv_rows(out_dir / "metrics.csv", METRICS_COLUMNS, METRICS_TYPES):
             finite_ok = finite_ok and all(map(math.isfinite, row))
             in_order = in_order and row[0] == metrics_rows
+            implied = implied_metrics.pop(row[0], None)
+            if metrics_ok and implied is not None and row != implied:
+                metrics_ok = False
+                column = next(c for c, a, b in zip(METRICS_COLUMNS, row, implied) if a != b)
+                metrics_mismatch = f"round {row[0]}: {column}"
             metrics_rows += 1
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     # Each check holds only when its comparison is true, so a NaN fails it; the
-    # quality and penalty checks skip rows with a non-finite cell, and the penalty
-    # check stops at the first row out of order, whose previous round is unknown.
+    # quality, penalty and metrics checks skip rows with a non-finite cell, and
+    # the penalty and metrics checks stop at the first row out of order, whose
+    # previous round is unknown. The metrics check also skips a round that
+    # rounds.csv does not hold whole; the coverage check fails such files.
     bound = cfg.reward_pool + cfg.committee_size * cfg.committee_bonus
     checks = [
         ("file_hashes_match_manifest", not bad, ", ".join(bad)),
@@ -314,6 +348,7 @@ def cmd_verify(args) -> int:
         ("penalty_only_if_detected_at_most_half_reputation", penalty_ok, ""),
         (f"committee_within_size (<= {cfg.committee_size})",
          all(size <= cfg.committee_size for size in per_round_members.values()), ""),
+        ("metrics_recomputed_from_rounds", metrics_ok, metrics_mismatch),
         (f"rows_cover_every_round_and_node ({cfg.rounds} rounds x {cfg.n_nodes} nodes)",
          in_order and rounds_rows == cfg.rounds * cfg.n_nodes and metrics_rows == cfg.rounds,
          f"{rounds_rows} rounds.csv rows, {metrics_rows} metrics.csv rows"

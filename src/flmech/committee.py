@@ -11,11 +11,12 @@ and takes the largest keys (Efraimidis & Spirakis, "Weighted random sampling
 with a reservoir", IPL 2006): the distribution of sequential weighted draws.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Node, SystemConfig
+from .core import Node, Population, SystemConfig
 
 
 class SampleError(ValueError):
@@ -57,20 +58,23 @@ def weighted_sample_without_replacement(candidates, weights, count: int,
     return [candidates[i] for i in np.lexsort((u, -keys))[:count]]
 
 
-def select_committee(nodes: list[Node], cfg: SystemConfig,
+def select_committee(nodes: Population | Sequence[Node], cfg: SystemConfig,
                      rng: np.random.Generator) -> CommitteeSelection:
-    """Pick up to committee_size members from the nodes' current state.
+    """Pick up to committee_size members from the nodes' current state: a
+    population's columns, or a list of nodes in id order.
 
     Never fails: if too few nodes are eligible the committee comes back
     smaller with undersized=True. Ties in the reputation sort break by
     ascending node id so stratification is deterministic.
     """
-    n, L, K = len(nodes), cfg.strata, cfg.committee_size
-    ids = np.array([nd.id for nd in nodes])
-    reputation = np.array([nd.reputation for nd in nodes], dtype=float)
-    cooldown = np.array([nd.cooldown for nd in nodes])
+    if isinstance(nodes, Population):
+        reputation, cooldown = nodes.reputation, nodes.cooldown
+    else:
+        reputation = np.array([nd.reputation for nd in nodes], dtype=float)
+        cooldown = np.array([nd.cooldown for nd in nodes])
+    n, L, K = len(reputation), cfg.strata, cfg.committee_size
     weight = reputation ** cfg.gamma
-    ranked = np.lexsort((ids, -reputation))
+    ranked = np.lexsort((np.arange(n), -reputation))
     eligible_by_rank = cooldown[ranked] == 0
 
     picked: list[int] = []
@@ -88,14 +92,12 @@ def select_committee(nodes: list[Node], cfg: SystemConfig,
         take = min(K - len(picked), pool.size)
         if take > 0:
             picked.extend(weighted_sample_without_replacement(pool, weight[pool], take, rng))
-    return CommitteeSelection(members=ids[picked].tolist(), undersized=len(picked) < K)
+    return CommitteeSelection(members=[int(i) for i in picked], undersized=len(picked) < K)
 
 
-def update_cooldowns(nodes: list[Node], members: list[int], cfg: SystemConfig) -> None:
-    """Selected nodes start a full cooldown; everyone else ticks down by one."""
-    selected = set(members)
-    for nd in nodes:
-        if nd.id in selected:
-            nd.cooldown = cfg.cooldown_period
-        else:
-            nd.cooldown = max(0, nd.cooldown - 1)
+def update_cooldowns(pop: Population, members: list[int], cfg: SystemConfig) -> np.ndarray:
+    """Every node's cooldown after the round: selected nodes start a full
+    cooldown; everyone else ticks down by one, to no less than zero."""
+    cooldown = np.maximum(0, pop.cooldown - 1)
+    cooldown[members] = cfg.cooldown_period
+    return cooldown

@@ -6,7 +6,9 @@ reputation quantities are plain floats; there is no fixed-point arithmetic.
 """
 
 import math
+import operator
 import zlib
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -51,10 +53,9 @@ class PatternKind(Enum):
 class Node:
     """One participant's full economic state.
 
-    `id` is the node's index in the population list: every round step
-    relies on `nodes[i].id == i`. The `role` tag is ground truth for the
-    simulation only; mechanism code (committee, detection, rewards) never
-    reads it.
+    `id` is the node's index in the population: every round step relies on
+    `nodes[i].id == i`. The `role` tag is ground truth for the simulation
+    only; mechanism code (committee, detection, rewards) never reads it.
     """
     id: int
     stake: float
@@ -67,6 +68,65 @@ class Node:
     # Nothing in the mechanism looks further back than that.
     contribution_history: list[float] = field(default_factory=list)
     role: Role = Role.HONEST
+
+
+@dataclass(frozen=True, eq=False)
+class Population(Sequence):
+    """Every node's state as columns: entry i of each column is node i's.
+
+    `history` holds the last k <= window+1 contributions of every node, one
+    row per round, oldest first; every node appends every round, so all
+    histories have the same length. `malicious` is the role tag, fixed when
+    the population is built. The columns are read-only: a round computes new
+    columns and swaps in a new population (`dataclasses.replace`).
+
+    The population is also a read-only sequence of `Node`s, each built from
+    the columns when it is indexed.
+    """
+    stake: np.ndarray
+    reputation: np.ndarray
+    total_reward: np.ndarray
+    participation: np.ndarray
+    cooldown: np.ndarray
+    history: np.ndarray
+    malicious: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.stake)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i, n = operator.index(i), len(self)
+        if not -n <= i < n:
+            raise IndexError(f"node {i} out of range for {n} nodes")
+        i %= n
+        return Node(id=i, stake=float(self.stake[i]), reputation=float(self.reputation[i]),
+                    total_reward=float(self.total_reward[i]),
+                    participation=int(self.participation[i]), cooldown=int(self.cooldown[i]),
+                    contribution_history=self.history[:, i].tolist(),
+                    role=Role.MALICIOUS if self.malicious[i] else Role.HONEST)
+
+    @classmethod
+    def from_nodes(cls, nodes: Sequence[Node]) -> "Population":
+        """The columns of `nodes`, given in id order. Every node must hold a
+        history of the same length."""
+        lengths = {len(nd.contribution_history) for nd in nodes}
+        if len(lengths) > 1:
+            raise ValueError(f"histories differ in length: {sorted(lengths)}")
+        k = lengths.pop() if lengths else 0
+        return cls(stake=np.array([nd.stake for nd in nodes], dtype=float),
+                   reputation=np.array([nd.reputation for nd in nodes], dtype=float),
+                   total_reward=np.array([nd.total_reward for nd in nodes], dtype=float),
+                   participation=np.array([nd.participation for nd in nodes], dtype=np.int64),
+                   cooldown=np.array([nd.cooldown for nd in nodes], dtype=np.int64),
+                   history=np.array([nd.contribution_history for nd in nodes],
+                                    dtype=float).reshape(len(nodes), k).T.copy(),
+                   malicious=np.array([nd.role is Role.MALICIOUS for nd in nodes], dtype=bool))
 
 
 @dataclass
@@ -373,7 +433,7 @@ class RoundRecord:
     total_paid: float
 
 
-def init_population(cfg: SystemConfig, rng: RngStream) -> list[Node]:
+def init_population(cfg: SystemConfig, rng: RngStream) -> Population:
     """Create the starting population, node i at index i.
 
     Exactly round-half-up(malicious_percent * n) nodes are tagged malicious,
@@ -382,14 +442,11 @@ def init_population(cfg: SystemConfig, rng: RngStream) -> list[Node]:
     """
     n = cfg.n_nodes
     n_malicious = int(math.floor(cfg.malicious_percent * n + 0.5))
-    gen = rng.stream("roles", 0, 0)
-    malicious_ids = set(gen.choice(n, size=n_malicious, replace=False).tolist()) if n_malicious else set()
-    nodes = []
-    for i in range(n):
-        nodes.append(Node(
-            id=i,
-            stake=cfg.initial_stake,
-            reputation=cfg.initial_reputation,
-            role=Role.MALICIOUS if i in malicious_ids else Role.HONEST,
-        ))
-    return nodes
+    malicious = np.zeros(n, dtype=bool)
+    if n_malicious:
+        malicious[rng.stream("roles", 0, 0).choice(n, size=n_malicious, replace=False)] = True
+    return Population(stake=np.full(n, float(cfg.initial_stake)),
+                      reputation=np.full(n, float(cfg.initial_reputation)),
+                      total_reward=np.zeros(n), participation=np.zeros(n, dtype=np.int64),
+                      cooldown=np.zeros(n, dtype=np.int64), history=np.empty((0, n)),
+                      malicious=malicious)

@@ -13,58 +13,69 @@ Detection reads contribution histories only; it never sees the ground-truth
 role tag. Nodes with fewer than two recorded rounds are never flagged.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
-from .core import Node, SystemConfig
-from .metrics import mean, pstd
+import numpy as np
+
+from .core import Population, SystemConfig
+from .metrics import mean, pstd, sequential_sum
 
 
 @dataclass
 class DetectionReport:
-    cond1: dict[int, bool] = field(default_factory=dict)
-    cond2: dict[int, bool] = field(default_factory=dict)
-    cond3: dict[int, bool] = field(default_factory=dict)
-    detected: list[int] = field(default_factory=list)
-    penalties: dict[int, float] = field(default_factory=dict)
+    """One round's three conditions, one bool per node in node order; all
+    False while the histories hold fewer than two rounds."""
+    cond1: np.ndarray
+    cond2: np.ndarray
+    cond3: np.ndarray
+
+    @cached_property
+    def flagged(self) -> np.ndarray:
+        """(cond1 AND cond2) OR cond3, per node."""
+        return (self.cond1 & self.cond2) | self.cond3
+
+    @cached_property
+    def detected(self) -> list[int]:
+        """Ids of the flagged nodes, ascending."""
+        return np.flatnonzero(self.flagged).tolist()
 
 
-def _median(values: list[float]) -> float:
-    s = sorted(values)
-    n = len(s)
-    mid = n // 2
-    return s[mid] if n % 2 else 0.5 * (s[mid - 1] + s[mid])
+def _median(values: np.ndarray) -> float:
+    """The middle value, or the mean of the two middle values, by partition
+    (`np.median` would import `numpy.ma`, about 1 MB, on its first call)."""
+    mid = len(values) // 2
+    if len(values) % 2:
+        return float(np.partition(values, mid)[mid])
+    low, high = np.partition(values, (mid - 1, mid))[mid - 1:mid + 1].tolist()
+    return 0.5 * (low + high)
 
 
-def detect(nodes: list[Node], cfg: SystemConfig) -> DetectionReport:
+def detect(pop: Population, cfg: SystemConfig) -> DetectionReport:
     """Evaluate the condition set for the current round (contributions
-    already collected)."""
+    already collected, so the last history row is this round's).
+
+    The population median is over every node's last tau contributions, and
+    this round's mean and std are `metrics.mean` and `metrics.pstd`. A
+    node's own mean and std are numpy reductions over the round axis.
+    """
     tau = cfg.window
-    report = DetectionReport()
+    history = pop.history
+    if len(history) < 2:
+        none = np.zeros(len(pop), dtype=bool)
+        return DetectionReport(none, none, none)
 
-    windows = [nd.contribution_history[-tau:] for nd in nodes]
-    pooled = [c for w in windows for c in w]
-    pop_median = _median(pooled) if pooled else 0.0
-    this_round = [w[-1] for w in windows if w]
-    round_mean = mean(this_round)
-    round_std = pstd(this_round)
+    c_now, window = history[-1], history[-tau:]
+    pop_median = _median(window.ravel())
+    round_mean, round_std = mean(c_now.tolist()), pstd(c_now)
 
-    for nd, own in zip(nodes, windows):
-        if len(nd.contribution_history) < 2:
-            continue
-        c_now = own[-1]
-
-        cond1 = mean(own) < cfg.theta_low * pop_median
-        cond2 = abs(c_now - round_mean) > cfg.theta_fluct * round_std
-        prev = nd.contribution_history[-(tau + 1):-1]  # the tau rounds before t
-        jump_scale = max(pstd(prev), cfg.eps_std)
-        cond3 = abs(c_now - mean(prev)) > cfg.theta_jump * jump_scale
-
-        report.cond1[nd.id] = cond1
-        report.cond2[nd.id] = cond2
-        report.cond3[nd.id] = cond3
-        if (cond1 and cond2) or cond3:
-            report.detected.append(nd.id)
-    return report
+    cond1 = window.mean(axis=0) < cfg.theta_low * pop_median
+    cond2 = np.abs(c_now - round_mean) > cfg.theta_fluct * round_std
+    prev = history[-(tau + 1):-1]  # the tau rounds before t
+    jump_scale = np.maximum(np.std(prev, axis=0), cfg.eps_std)
+    cond3 = np.abs(c_now - prev.mean(axis=0)) > cfg.theta_jump * jump_scale
+    return DetectionReport(cond1, cond2, cond3)
 
 
 def penalty(reputation: float, stake: float, lambda_r: float, lambda_s: float) -> float:
@@ -72,20 +83,25 @@ def penalty(reputation: float, stake: float, lambda_r: float, lambda_s: float) -
     return min(lambda_r * reputation + lambda_s * stake, reputation / 2.0)
 
 
-def apply_penalties(nodes: list[Node], report: DetectionReport, cfg: SystemConfig) -> float:
-    """Deduct reputation and stake from every detected node.
+class Penalties(NamedTuple):
+    """Every node's state after the round's penalties, in node order."""
+    reputation: np.ndarray
+    stake: np.ndarray
+    amounts: np.ndarray      # reputation deducted; 0 for nodes not flagged
+    stake_deducted: float    # total stake deducted, for the publisher ledger
 
-    Fills the report's penalty map and returns the total stake deducted
-    (credited to the publisher-profit ledger by the engine).
-    """
-    total_deducted = 0.0
-    for node_id in report.detected:
-        nd = nodes[node_id]
-        amount = penalty(nd.reputation, nd.stake,
-                         cfg.reputation_penalty_factor, cfg.stake_penalty_factor)
-        deduction = cfg.stake_penalty_factor * nd.stake
-        nd.reputation = max(0.0, nd.reputation - amount)
-        nd.stake = max(0.0, nd.stake - deduction)
-        report.penalties[node_id] = amount
-        total_deducted += deduction
-    return total_deducted
+
+def apply_penalties(pop: Population, report: DetectionReport, cfg: SystemConfig) -> Penalties:
+    """Deduct reputation (`penalty`) and a stake_penalty_factor share of the
+    stake from every flagged node; the other nodes keep theirs. Neither
+    falls below zero. The stake total is added in node order."""
+    flagged = report.flagged
+    lambda_s = cfg.stake_penalty_factor
+    amounts = np.where(flagged, np.minimum(cfg.reputation_penalty_factor * pop.reputation
+                                           + lambda_s * pop.stake, pop.reputation / 2.0), 0.0)
+    deductions = lambda_s * pop.stake[flagged]
+    stake = pop.stake.copy()
+    stake[flagged] = np.maximum(0.0, stake[flagged] - deductions)
+    return Penalties(reputation=np.where(flagged, np.maximum(0.0, pop.reputation - amounts),
+                                         pop.reputation),
+                     stake=stake, amounts=amounts, stake_deducted=sequential_sum(deductions))

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from .core import sigmoid
 
 # A subnormal below 2**-1048 keeps fewer than 26 of a double's 53 significant
@@ -14,12 +16,14 @@ def mean(values: list[float]) -> float:
     return math.fsum(values) / len(values) if values else 0.0
 
 
-def pstd(values: list[float]) -> float:
-    """Population standard deviation about the mean; 0.0 for empty input."""
-    if not values:
+def pstd(values) -> float:
+    """Population standard deviation about the mean, both sums by math.fsum;
+    0.0 for empty input."""
+    if not len(values):
         return 0.0
-    m = mean(values)
-    return math.sqrt(math.fsum((v - m) ** 2 for v in values) / len(values))
+    v = np.asarray(values, dtype=float)
+    d = v - math.fsum(v.tolist()) / len(v)
+    return math.sqrt(math.fsum((d * d).tolist()) / len(v))
 
 
 def jain_ratio(values: list[float], eps: float = 1e-8) -> float:
@@ -31,13 +35,13 @@ def jain_ratio(values: list[float], eps: float = 1e-8) -> float:
     them. Values whose largest magnitude is below 2**-1048 are not scaled;
     their squares underflow, and they score 0 like all-zero input.
     """
-    peak = max(map(abs, values), default=0.0)
+    v = np.asarray(values, dtype=float)
+    peak = float(np.abs(v).max()) if v.size else 0.0
     if _TINY <= peak < 1.0:
-        shift = -math.frexp(peak)[1]
-        values = [math.ldexp(v, shift) for v in values]
-    total = math.fsum(values)
-    sq = math.fsum(v * v for v in values)
-    return (total * total) / (len(values) * sq + eps)
+        v = np.ldexp(v, -math.frexp(peak)[1])
+    total = math.fsum(v.tolist())
+    sq = math.fsum((v * v).tolist())
+    return (total * total) / (len(v) * sq + eps)
 
 
 def jain_index(values: list[float], eps: float = 1e-8) -> float:
@@ -50,21 +54,24 @@ def jain_index(values: list[float], eps: float = 1e-8) -> float:
     return jain_ratio(values, eps) * sigmoid(mean(values) / 10.0)
 
 
-def gini(values: list[float]) -> float:
+def gini(values) -> float:
     """Gini coefficient in [0, 1): 0 for perfect equality.
 
     Computed from the ascending cumulative-sum identity
-    G = (n + 1 - 2 * sum_i cum_i / total) / n. All-zero input is defined
-    as 0 (no inequality among identical zeros).
+    G = (n + 1 - 2 * sum_i cum_i / total) / n, with both running sums added
+    left to right. All-zero input is defined as 0 (no inequality among
+    identical zeros).
     """
     n = len(values)
-    ordered = sorted(values)
-    total = math.fsum(ordered)
+    ordered = np.sort(np.asarray(values, dtype=float))
+    total = math.fsum(ordered.tolist())
     if total == 0.0:
         return 0.0
-    cum = 0.0
-    cum_sum = 0.0
-    for v in ordered:
-        cum += v
-        cum_sum += cum
+    cum_sum = float(np.cumsum(np.cumsum(ordered))[-1])
     return (n + 1 - 2.0 * cum_sum / total) / n
+
+
+def sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
+    """start + values[0] + values[1] + ..., added left to right in doubles,
+    as a Python loop of `+=` would add them."""
+    return float(np.cumsum(np.concatenate(([start], values)))[-1])

@@ -9,13 +9,16 @@ this round earn nothing, bonus included.
 
 import math
 
-from .core import DomainError, Node, SystemConfig, sigmoid
+import numpy as np
+
+from .core import DomainError, Population, SystemConfig, sigmoid
 from .metrics import jain_index, jain_ratio, mean
 
 
-def effective_stake(stake: float, mean_stake: float) -> float:
-    """Stake counted toward reward shares, capped at three times the mean."""
-    return min(stake, 3.0 * mean_stake)
+def effective_stake(stake, mean_stake: float):
+    """Stake counted toward reward shares, capped at three times the mean.
+    Takes one stake or an array of them."""
+    return np.minimum(stake, 3.0 * mean_stake)
 
 
 def historical_contribution(history: list[float], zeta: float, tau: int) -> float:
@@ -27,6 +30,16 @@ def historical_contribution(history: list[float], zeta: float, tau: int) -> floa
     total = 0.0
     for age, c in enumerate(reversed(history[-(tau + 1):])):
         total += c * zeta ** age
+    return total
+
+
+def historical_contributions(history: np.ndarray, zeta: float, tau: int) -> np.ndarray:
+    """`historical_contribution` of every node from the (k, n) history: one
+    vector add per round, newest first, so each sum is added in the same
+    order as the scalar form's."""
+    total = np.zeros(history.shape[1])
+    for age, row in enumerate(history[::-1][:tau + 1]):
+        total += row * zeta ** age
     return total
 
 
@@ -49,45 +62,37 @@ def committee_bonus(member_reputations: list[float], base_bonus: float, eps: flo
         * sigmoid(mean(member_reputations) / 10.0)
 
 
-def allocate_rewards(nodes: list[Node], committee: list[int], cfg: SystemConfig) -> list[float]:
-    """Compute every node's reward for the current round, add it to the
-    node's total and return the rewards in the order of `nodes`.
+def allocate_rewards(pop: Population, committee: list[int], cfg: SystemConfig) -> np.ndarray:
+    """Every node's reward for the current round, in node order. The nodes'
+    totals are left to the caller.
 
     Shares are normalized by the raw stake total and by the population's
     decayed contribution total; the zero-contribution override is applied
     last, after the committee bonus.
     """
-    reputations = [nd.reputation for nd in nodes]
+    n = len(pop)
+    reputations = pop.reputation.tolist()
     fairness = jain_index(reputations, cfg.epsilon)
     # every node starts from cfg.initial_reputation, so alpha is uniform
     alpha = alpha_weight(mean(reputations), cfg.initial_reputation, cfg.f_scale,
                          cfg.stake_weight)
     beta = 1.0 - alpha
 
-    total_stake = math.fsum(nd.stake for nd in nodes)
-    mean_stake = total_stake / len(nodes)
+    total_stake = math.fsum(pop.stake.tolist())
+    mean_stake = total_stake / n
 
-    hist_values = [historical_contribution(nd.contribution_history, cfg.history_decay, cfg.window)
-                   for nd in nodes]
-    c_total = math.fsum(hist_values)
+    hist_values = historical_contributions(pop.history, cfg.history_decay, cfg.window)
+    c_total = math.fsum(hist_values.tolist())
 
-    members = set(committee)
-    member_reps = [nd.reputation for nd in nodes if nd.id in members]
-    bonus = committee_bonus(member_reps, cfg.committee_bonus, cfg.epsilon)
+    members = np.zeros(n, dtype=bool)
+    members[committee] = True
+    bonus = committee_bonus(pop.reputation[members].tolist(), cfg.committee_bonus, cfg.epsilon)
 
-    out = []
-    for nd, hist in zip(nodes, hist_values):
-        s_eff = effective_stake(nd.stake, mean_stake)
-        stake_share = s_eff / total_stake if total_stake > 0 else 0.0
-        contrib_share = hist / c_total if c_total > 0 else 0.0
-        stake_term = alpha * cfg.reward_pool * stake_share
-        contrib_term = beta * cfg.reward_pool * contrib_share
-        r_cmm = bonus if nd.id in members else 0.0
-        total = (stake_term + contrib_term) * fairness + r_cmm
-
-        if not nd.contribution_history or nd.contribution_history[-1] == 0.0:
-            total = 0.0
-
-        nd.total_reward += total
-        out.append(total)
-    return out
+    stake_share = effective_stake(pop.stake, mean_stake) / total_stake if total_stake > 0 \
+        else np.zeros(n)
+    contrib_share = hist_values / c_total if c_total > 0 else np.zeros(n)
+    stake_term = alpha * cfg.reward_pool * stake_share
+    contrib_term = beta * cfg.reward_pool * contrib_share
+    total = (stake_term + contrib_term) * fairness + np.where(members, bonus, 0.0)
+    contributed = pop.history[-1] != 0.0 if len(pop.history) else np.zeros(n, dtype=bool)
+    return np.where(contributed, total, 0.0)

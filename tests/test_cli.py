@@ -497,6 +497,19 @@ def test_verify_fails_row_that_disagrees_with_the_mechanism(fast_config, tmp_pat
     assert failed == [f"FAIL {check}"]
 
 
+@pytest.mark.parametrize("column", METRICS_COLUMNS[1:])
+def test_verify_recomputes_each_metrics_column(fast_config, tmp_path, capsys, column):
+    # a finite value of the column's type that the round's rounds.csv rows do not imply
+    out = tmp_path / "vx"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    edit_first_row(out / "metrics.csv", **{column: "7" if column == "detected_count" else "0.123"})
+    rehash(out, "metrics.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == [f"FAIL metrics_recomputed_from_rounds (round 0: {column})"]
+
+
 def test_verify_passes_header_only_files_of_zero_rounds(tmp_path, capsys):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text("n_nodes = 5\nrounds = 0\n")

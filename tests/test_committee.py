@@ -17,7 +17,7 @@ from flmech.committee import (
     SampleError, select_committee, stratum_quota, update_cooldowns,
     weighted_sample_without_replacement,
 )
-from flmech.core import Node, SystemConfig
+from flmech.core import Node, Population, SystemConfig
 
 
 def make_node(i, reputation=100.0, cooldown=0):
@@ -161,33 +161,33 @@ def test_cooldown_stratum_spills_into_global_pool():
 
 def test_update_cooldowns():
     cfg = SystemConfig()
-    nodes = [make_node(0, cooldown=0), make_node(1, cooldown=0),
-             make_node(2, cooldown=2)]
-    update_cooldowns(nodes, [0], cfg)
-    assert nodes[0].cooldown == 3  # selected
-    assert nodes[1].cooldown == 0  # max(0, -1)
-    assert nodes[2].cooldown == 1
+    pop = Population.from_nodes([make_node(0, cooldown=0), make_node(1, cooldown=0),
+                                 make_node(2, cooldown=2)])
+    cooldown = update_cooldowns(pop, [0], cfg)
+    assert cooldown[0] == 3  # selected
+    assert cooldown[1] == 0  # max(0, -1)
+    assert cooldown[2] == 1
 
 
 def test_no_consecutive_membership_over_many_rounds():
     cfg = dataclasses.replace(SystemConfig(), n_nodes=30)
-    nodes = [make_node(i, reputation=100.0 + i) for i in range(30)]
+    pop = Population.from_nodes([make_node(i, reputation=100.0 + i) for i in range(30)])
     rng = np.random.default_rng(0)
     previous: set[int] = set()
     for t in range(200):
-        sel = select_committee(nodes, cfg, rng)
+        sel = select_committee(pop, cfg, rng)
         assert not (set(sel.members) & previous)
-        update_cooldowns(nodes, sel.members, cfg)
+        pop = dataclasses.replace(pop, cooldown=update_cooldowns(pop, sel.members, cfg))
         previous = set(sel.members)
 
 
 def test_ineligible_for_exactly_three_rounds():
     cfg = dataclasses.replace(SystemConfig(), n_nodes=6, committee_size=1)
-    nodes = [make_node(i) for i in range(6)]
-    update_cooldowns(nodes, [0], cfg)
+    pop = Population.from_nodes([make_node(i) for i in range(6)])
+    pop = dataclasses.replace(pop, cooldown=update_cooldowns(pop, [0], cfg))
     history = []
     for _ in range(3):
-        history.append(nodes[0].cooldown)
-        update_cooldowns(nodes, [], cfg)
+        history.append(pop[0].cooldown)
+        pop = dataclasses.replace(pop, cooldown=update_cooldowns(pop, [], cfg))
     assert history == [3, 2, 1]
-    assert nodes[0].cooldown == 0
+    assert pop[0].cooldown == 0

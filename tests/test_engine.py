@@ -68,6 +68,16 @@ def test_same_seed_byte_identical():
     assert record_bytes(a.records) != record_bytes(c.records)
 
 
+def test_total_reward_adds_each_round_reward():
+    # the engine credits every round's reward to the node's total, in round order
+    result = run_simulation(FAST, seed=5)
+    for nd in result.nodes:
+        total = 0.0
+        for rec in result.records:
+            total += rec.rewards[nd.id]
+        assert nd.total_reward == total
+
+
 def test_round_application_is_atomic(monkeypatch):
     state = new_world(FAST, seed=3)
     run_round(state)

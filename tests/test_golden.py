@@ -19,7 +19,7 @@ GOLDEN = {
     "criterion9": (
         ["--config", "{cfg}"],
         {
-            "rounds.csv": "8a5a4a9e3d820700a1288c753b3dc61aa639d478563ef036b3aa3f27493df017",
+            "rounds.csv": "3d869ada863279d5308a0c536a0ec81d349a258e0254258443fb7fb15201d339",
             "metrics.csv": "0eb8e82e26f8e3e821910b4d0ac844544d85ef3405e2323e77cb29187a14cb6b",
             "summary.json": "180b2d5efe4639c0ec020319f98faca805050eecc93c1e502e6c4f39719539da",
         },
@@ -28,8 +28,8 @@ GOLDEN = {
     "default_seed0": (
         ["--seed", "0"],
         {
-            "rounds.csv": "83972cdfe6ce4d52e4928c72ea9d583f208db67ad3cbc6d7a5b93d46666486eb",
-            "metrics.csv": "5b1c641704a5214e05d1423cb7a1fdd89ce59ddd3537f99d72c3b5d94b5604e7",
+            "rounds.csv": "1c4c76a773f69c5336f888d0fa3c06b37e7942459c5ec9c57d0c6d25b0ddf0ca",
+            "metrics.csv": "6c4a66cd3ce87e6a15901ddbede5aea004596ba7ee51c58ff5ac09311c53f926",
             "summary.json": "d98ccfed2045b5332cf7b0058e0b422135a9d6ba35a2764dde3ec398a355f3e2",
         },
     ),

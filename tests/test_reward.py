@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flmech.core import DomainError, Node, SystemConfig, sigmoid
+from flmech.core import DomainError, Node, Population, SystemConfig, sigmoid
 from flmech.metrics import jain_index
 from flmech.reward import (
     alpha_weight, allocate_rewards, committee_bonus, effective_stake,
@@ -71,31 +71,32 @@ def test_committee_bonus_empty():
 
 def test_single_node_collapses_to_pool_times_fairness():
     cfg = dataclasses.replace(CFG, n_nodes=1, committee_size=1)
-    node = node_with_history(0, [5.0, 5.0, 5.0], reputation=200.0)
-    out = allocate_rewards([node], [0], cfg)[0]
+    pop = Population.from_nodes([node_with_history(0, [5.0, 5.0, 5.0], reputation=200.0)])
+    out = allocate_rewards(pop, [0], cfg)[0]
     expected_fairness = jain_index([200.0], cfg.epsilon)
     expected = cfg.reward_pool * expected_fairness + committee_bonus(
         [200.0], cfg.committee_bonus, cfg.epsilon)
     assert out == pytest.approx(expected, rel=1e-12)
-    assert node.total_reward == out
+    assert pop.total_reward[0] == 0.0  # the engine credits the total, see test_engine
 
 
 def test_zero_contribution_override_beats_committee_bonus():
     nodes = [node_with_history(0, [5.0, 0.0]), node_with_history(1, [5.0, 5.0])]
-    out = allocate_rewards(nodes, [0], CFG)
+    out = allocate_rewards(Population.from_nodes(nodes), [0], CFG)
     assert out[0] == 0.0            # zero contributor earns nothing, even selected
     assert out[1] > 0.0
 
 
 def test_empty_history_override():
-    nodes = [node_with_history(0, []), node_with_history(1, [5.0])]
-    out = allocate_rewards(nodes, [], CFG)
+    # histories all have one length, so an empty one means no round yet
+    nodes = [node_with_history(0, []), node_with_history(1, [])]
+    out = allocate_rewards(Population.from_nodes(nodes), [], CFG)
     assert out[0] == 0.0
 
 
 def test_symmetric_population_equal_rewards():
     nodes = [node_with_history(i, [4.0, 4.0]) for i in range(10)]
-    out = allocate_rewards(nodes, [], CFG)
+    out = allocate_rewards(Population.from_nodes(nodes), [], CFG)
     first = out[0]
     assert first > 0.0
     assert all(abs(r - first) < 1e-9 for r in out)
@@ -109,12 +110,12 @@ def test_permutation_symmetry():
     stakes = [50.0, 100.0, 400.0]
 
     nodes = [node_with_history(i, histories[i], stake=stakes[i]) for i in range(3)]
-    base = allocate_rewards(nodes, [2], CFG)
+    base = allocate_rewards(Population.from_nodes(nodes), [2], CFG)
 
     perm = [2, 0, 1]  # new id of original node i
     nodes2 = [node_with_history(perm[i], histories[i], stake=stakes[i]) for i in range(3)]
     nodes2.sort(key=lambda nd: nd.id)
-    permuted = allocate_rewards(nodes2, [perm[2]], CFG)  # indexed by id after the sort
+    permuted = allocate_rewards(Population.from_nodes(nodes2), [perm[2]], CFG)  # indexed by id after the sort
     for i in range(3):
         assert base[i] == pytest.approx(permuted[perm[i]], rel=1e-12)
 
@@ -123,7 +124,7 @@ def test_conservation_bound_per_round():
     rng_histories = [[9.0, 8.5], [7.0, 7.5], [0.5, 1.0], [10.0, 10.0]]
     nodes = [node_with_history(i, rng_histories[i % 4], stake=100.0 * (i + 1))
              for i in range(12)]
-    out = allocate_rewards(nodes, [0, 1, 2, 3, 4], CFG)
+    out = allocate_rewards(Population.from_nodes(nodes), [0, 1, 2, 3, 4], CFG)
     total = math.fsum(out)
     assert total <= CFG.reward_pool + CFG.committee_size * CFG.committee_bonus
 
@@ -137,7 +138,7 @@ def test_stake_cap_effect_on_share():
     def whale_reward(whale_stake):
         nodes = [node_with_history(0, [5.0, 5.0], stake=whale_stake)]
         nodes += [node_with_history(i, [5.0, 5.0], stake=100.0) for i in range(1, 10)]
-        return allocate_rewards(nodes, [], CFG)[0]
+        return allocate_rewards(Population.from_nodes(nodes), [], CFG)[0]
 
     def reward_counting(counted_stake, total_stake):
         # equal reputations and contributions: a tenth of the contribution term
@@ -159,6 +160,6 @@ def test_stake_cap_effect_on_share():
 def test_rewards_nonnegative(contribs, committee_pick):
     nodes = [node_with_history(i, [c, c]) for i, c in enumerate(contribs)]
     members = [committee_pick] if committee_pick < len(nodes) else []
-    out = allocate_rewards(nodes, members, CFG)
+    out = allocate_rewards(Population.from_nodes(nodes), members, CFG)
     assert len(out) == len(nodes)
     assert all(r >= 0.0 for r in out)
