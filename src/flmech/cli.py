@@ -56,41 +56,23 @@ def _load_cfg(config_path: str | None) -> SystemConfig:
 
 
 def _round_rows(rec: RoundRecord, roles: list[str]):
-    committee = set(rec.committee)
-    detected = set(rec.detected)
-    for i, role in enumerate(roles):
-        yield [rec.round, i, role, rec.contributions[i], rec.completion_times[i],
-               rec.qualities[i], rec.reputation_after[i], rec.penalties[i],
-               rec.rewards[i], int(i in committee), int(i in detected)]
+    n = len(roles)
+    committee, detected = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    committee[rec.committee] = 1
+    detected[rec.detected] = 1
+    return zip(itertools.repeat(rec.round), range(n), roles, rec.contributions.tolist(),
+               rec.completion_times.tolist(), rec.qualities.tolist(),
+               rec.reputation_after.tolist(), rec.penalties.tolist(), rec.rewards.tolist(),
+               committee.tolist(), detected.tolist())
 
 
-def _role_means(values: list[float], honest: list[int], malicious: list[int]) -> list[float]:
-    return [mean([values[i] for i in honest]), mean([values[i] for i in malicious])]
-
-
-def _metrics_row(rec: RoundRecord, honest: list[int], malicious: list[int]) -> list:
-    return [rec.round, rec.jain_fairness, rec.gini, len(rec.detected),
-            *_role_means(rec.reputation_after, honest, malicious),
-            *_role_means(rec.rewards, honest, malicious)]
-
-
-def _metrics_from_rounds(rows: list[list], eps: float) -> list:
-    """The metrics.csv row that one whole round of rounds.csv rows (node
-    order) implies: the engine's metric functions, in the engine's order,
-    over the round's rewards, reputations, detected flags and role tags."""
-    rewards = [row[8] for row in rows]
-    honest_tag, malicious_tag = Role.HONEST.value, Role.MALICIOUS.value
-    honest = [i for i, row in enumerate(rows) if row[2] == honest_tag]
-    malicious = [i for i, row in enumerate(rows) if row[2] == malicious_tag]
-    return [rows[0][0], jain_index(rewards, eps), gini(rewards), sum(row[10] for row in rows),
-            *_role_means([row[6] for row in rows], honest, malicious),
-            *_role_means(rewards, honest, malicious)]
-
-
-def _role_ids(state: WorldState) -> tuple[list[int], list[int]]:
-    """(honest ids, malicious ids), in node order."""
-    malicious = state.nodes.malicious
-    return np.flatnonzero(~malicious).tolist(), np.flatnonzero(malicious).tolist()
+def _metrics_row(t: int, jain: float, gini: float, detected_count: int, reputation: np.ndarray,
+                 rewards: np.ndarray, honest: np.ndarray, malicious: np.ndarray) -> list:
+    """One metrics.csv row: a round's metrics, then the honest and malicious
+    means of its reputation and reward columns. The role masks are separate,
+    so a node in neither counts in neither mean."""
+    return [t, jain, gini, detected_count, mean(reputation[honest]), mean(reputation[malicious]),
+            mean(rewards[honest]), mean(rewards[malicious])]
 
 
 def _csv_writer(fh, header: list[str]):
@@ -132,15 +114,17 @@ def export_simulation(state: WorldState, records: Iterable[RoundRecord], out_dir
     into an existing directory. Each record's rows are written as the record
     arrives, so `records` may be `iter_rounds(state)`; summary.json is taken
     from `state` once `records` is exhausted."""
-    roles = np.where(state.nodes.malicious, Role.MALICIOUS.value, Role.HONEST.value).tolist()
-    honest, malicious = _role_ids(state)
+    malicious = state.nodes.malicious
+    roles = np.where(malicious, Role.MALICIOUS.value, Role.HONEST.value).tolist()
     with (out_dir / "rounds.csv").open("w", newline="") as rounds_fh, \
             (out_dir / "metrics.csv").open("w", newline="") as metrics_fh:
         rounds_csv = _csv_writer(rounds_fh, ROUNDS_COLUMNS)
         metrics_csv = _csv_writer(metrics_fh, METRICS_COLUMNS)
         for rec in records:
             rounds_csv.writerows(_round_rows(rec, roles))
-            metrics_csv.writerow(_metrics_row(rec, honest, malicious))
+            metrics_csv.writerow(_metrics_row(rec.round, rec.jain_fairness, rec.gini,
+                                              len(rec.detected), rec.reputation_after,
+                                              rec.rewards, ~malicious, malicious))
     summary = state.summary()
     summary["first_detection_round"] = {str(k): v for k, v in summary["first_detection_round"].items()}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -204,8 +188,10 @@ def cmd_sweep(args) -> int:
     for combo, point_cfg in zip(combos, point_cfgs):
         for seed in seeds:
             state = new_world(point_cfg, seed=seed)
-            honest, malicious = _role_ids(state)
-            rows += [[*combo, seed, *_metrics_row(rec, honest, malicious)]
+            malicious = state.nodes.malicious
+            rows += [[*combo, seed, *_metrics_row(rec.round, rec.jain_fairness, rec.gini,
+                                                  len(rec.detected), rec.reputation_after,
+                                                  rec.rewards, ~malicious, malicious)]
                      for rec in iter_rounds(state)]
             s = state.summary()
             run_summaries.append({
@@ -314,7 +300,11 @@ def cmd_verify(args) -> int:
                     per_round_members[t] = per_round_members.get(t, 0) + 1
                 rounds_rows += 1
             if in_order and round_finite and len(round_rows) == cfg.n_nodes:
-                implied_metrics[t] = _metrics_from_rounds(round_rows, cfg.epsilon)
+                _, _, roles, _, _, _, reputation, _, rewards, _, detected = zip(*round_rows)
+                roles, reputation, rewards = np.array(roles), np.array(reputation), np.array(rewards)
+                implied_metrics[t] = _metrics_row(
+                    t, jain_index(rewards, cfg.epsilon), gini(rewards), sum(detected), reputation,
+                    rewards, roles == Role.HONEST.value, roles == Role.MALICIOUS.value)
         for row in _csv_rows(out_dir / "metrics.csv", METRICS_COLUMNS, METRICS_TYPES):
             finite_ok = finite_ok and all(map(math.isfinite, row))
             in_order = in_order and row[0] == metrics_rows

@@ -416,16 +416,20 @@ class RngStream:
 
 @dataclass
 class RoundRecord:
-    """Per-round audit trail: everything one round decided, per node."""
+    """Per-round audit trail: everything one round decided, per node.
+
+    The per-node fields are the round layers' float64 columns, entry i for
+    node i; the id fields are ascending lists of node ids. Compare records
+    field by field, by value: `==` on two records is ambiguous on arrays."""
     round: int
     committee: list[int]
     undersized_committee: bool
-    contributions: list[float]            # indexed by node id
-    completion_times: list[float]
-    qualities: list[float]
-    reputation_after: list[float]
-    penalties: list[float]
-    rewards: list[float]
+    contributions: np.ndarray
+    completion_times: np.ndarray
+    qualities: np.ndarray
+    reputation_after: np.ndarray
+    penalties: np.ndarray
+    rewards: np.ndarray
     detected: list[int]
     timeouts: list[int]
     jain_fairness: float

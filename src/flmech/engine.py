@@ -140,16 +140,6 @@ def iter_rounds(state: WorldState) -> Iterator[RoundRecord]:
         yield run_round(state)
 
 
-def _as_list(values: np.ndarray, common: float) -> list[float]:
-    """`values.tolist()`, except that every entry equal to `common` is one
-    shared float object: a record's zero rewards and penalties and its capped
-    reputations then cost a pointer each, not a float object each."""
-    out = np.full(len(values), common, dtype=object)
-    other = values != common
-    out[other] = values[other]
-    return out.tolist()
-
-
 def _run_round_steps(state: WorldState) -> tuple[Population, PublisherLedger, RoundRecord]:
     cfg, t, ledger = state.cfg, state.t, state.ledger
 
@@ -184,26 +174,25 @@ def _run_round_steps(state: WorldState) -> tuple[Population, PublisherLedger, Ro
                                                                 ledger.contract_margin))
 
     # (7) fairness metrics over this round's rewards
-    reward_list = _as_list(rewards, 0.0)
-    jain = jain_index(reward_list, cfg.epsilon)
-    g = gini(reward_list)
+    jain = jain_index(rewards, cfg.epsilon)
+    g = gini(rewards)
 
     # (8) audit record
     return pop, ledger, RoundRecord(
         round=t,
         committee=sorted(selection.members),
         undersized_committee=selection.undersized,
-        contributions=contributions.tolist(),
-        completion_times=completion_times.tolist(),
-        qualities=q.tolist(),
-        reputation_after=_as_list(pop.reputation, cfg.r_max(t)),
-        penalties=_as_list(penalized.amounts, 0.0),
-        rewards=reward_list,
+        contributions=contributions,
+        completion_times=completion_times,
+        qualities=q,
+        reputation_after=pop.reputation,
+        penalties=penalized.amounts,
+        rewards=rewards,
         detected=report.detected,
         timeouts=timeouts,
         jain_fairness=jain,
         gini=g,
-        total_paid=math.fsum(reward_list),
+        total_paid=math.fsum(rewards),
     )
 
 

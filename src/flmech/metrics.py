@@ -11,9 +11,9 @@ from .core import sigmoid
 _TINY = 2.0 ** -1048
 
 
-def mean(values: list[float]) -> float:
+def mean(values) -> float:
     """Arithmetic mean by math.fsum; 0.0 for empty input."""
-    return math.fsum(values) / len(values) if values else 0.0
+    return math.fsum(values) / len(values) if len(values) else 0.0
 
 
 def pstd(values) -> float:
@@ -26,7 +26,7 @@ def pstd(values) -> float:
     return math.sqrt(math.fsum((d * d).tolist()) / len(v))
 
 
-def jain_ratio(values: list[float], eps: float = 1e-8) -> float:
+def jain_ratio(values, eps: float = 1e-8) -> float:
     """The classic fairness ratio (sum)^2 / (n * sum of squares + eps).
 
     The ratio is scale invariant, but eps is not: values below 1 are first
@@ -44,7 +44,7 @@ def jain_ratio(values: list[float], eps: float = 1e-8) -> float:
     return (total * total) / (len(v) * sq + eps)
 
 
-def jain_index(values: list[float], eps: float = 1e-8) -> float:
+def jain_index(values, eps: float = 1e-8) -> float:
     """Fairness index: the jain_ratio of the values, scaled by a sigmoid of
     the mean so low-valued allocations score lower.
 

@@ -510,6 +510,23 @@ def test_verify_recomputes_each_metrics_column(fast_config, tmp_path, capsys, co
     assert failed == [f"FAIL metrics_recomputed_from_rounds (round 0: {column})"]
 
 
+def test_verify_recomputes_metrics_over_role_tags_it_knows(fast_config, tmp_path, capsys):
+    # a node tagged neither honest nor malicious counts in neither role's mean,
+    # so the honest means no longer match metrics.csv
+    out = tmp_path / "vr"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    rows = read_rows(out / "rounds.csv")
+    assert rows[1][2] == "honest"
+    rows[1][2] = "bogus"
+    with (out / "rounds.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    rehash(out, "rounds.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL metrics_recomputed_from_rounds (round 0: honest_mean_rep)"]
+
+
 def test_verify_passes_header_only_files_of_zero_rounds(tmp_path, capsys):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text("n_nodes = 5\nrounds = 0\n")

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flmech.core import RngStream, Role, SystemConfig
@@ -17,7 +18,8 @@ FAST = dataclasses.replace(SystemConfig(), n_nodes=30, rounds=12,
 
 
 def record_bytes(records):
-    return json.dumps([dataclasses.asdict(r) for r in records], sort_keys=True).encode()
+    return json.dumps([dataclasses.asdict(r) for r in records], sort_keys=True,
+                      default=np.ndarray.tolist).encode()
 
 
 def test_seed_argument_becomes_the_config_seed():
@@ -203,6 +205,22 @@ def test_timeout_zeroes_contribution_and_logs():
     honest_on_time = [i for i, nd in enumerate(state.nodes)
                       if nd.role is Role.HONEST and i not in rec.timeouts]
     assert any(rec.contributions[i] > 0 for i in honest_on_time)
+
+
+def test_record_holds_node_columns_and_id_lists():
+    # per-node fields are the layers' float64 columns; id fields stay lists of
+    # ints, which callers concatenate
+    cfg = dataclasses.replace(FAST, t_max=1.0)
+    result = run_simulation(cfg, seed=21)
+    assert any(rec.detected for rec in result.records)
+    for rec in result.records:
+        for column in (rec.contributions, rec.completion_times, rec.qualities,
+                       rec.reputation_after, rec.penalties, rec.rewards):
+            assert isinstance(column, np.ndarray)
+            assert column.dtype == np.float64 and column.shape == (cfg.n_nodes,)
+        assert rec.committee and rec.timeouts
+        for ids in (rec.committee, rec.detected, rec.timeouts):
+            assert type(ids) is list and all(type(i) is int for i in ids)
 
 
 def test_no_timeouts_without_deadline():

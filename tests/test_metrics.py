@@ -1,13 +1,15 @@
 """Fairness index and Gini coefficient identities and invariances."""
 
 import math
+import struct
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from flmech.core import sigmoid
-from flmech.metrics import gini, jain_index
+from flmech.metrics import gini, jain_index, mean
 
 positive_lists = st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30)
 
@@ -16,6 +18,30 @@ def assume_exact_scaling(values, scale):
     # a product that lands below the smallest normal float is rounded, so the
     # list handed to the program would not be a scaled copy of `values`
     assume(all(v == 0.0 or scale * v >= sys.float_info.min for v in values))
+
+
+def test_mean_of_array():
+    assert mean(np.array([1.0, 2.0])) == 1.5
+    assert mean(np.array([])) == 0.0
+
+
+def outcome(f, values):
+    """The bits of f(values), or the type of the error it raises."""
+    try:
+        return struct.pack("<d", f(values))
+    except (ArithmeticError, RuntimeWarning) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+@example(values=[0.0, -0.0, 5e-324, 2.0 ** -1040, 1.0])
+@example(values=[0.0, 0.0])
+def test_list_and_array_give_identical_bits(values):
+    # records hold float64 columns; callers may still pass lists of floats
+    array = np.array(values, dtype=np.float64)
+    for f in (mean, jain_index, gini):
+        assert outcome(f, values) == outcome(f, array), f.__name__
 
 
 def test_jain_equal_values():
