@@ -34,8 +34,8 @@ from .core import (
 # `run_simulation` is not called here; it stays a name of this module because
 # bench/spans.py wraps `cli.run_simulation` by that name.
 from .engine import WorldState, iter_rounds, new_world, run_simulation  # noqa: F401
-from .metrics import gini, jain_index, mean
-from .reputation import quality
+from .metrics import gini, jain_index, mean, sequential_sum
+from .reputation import qualities
 
 SCHEMA_VERSION = 1
 ROUNDS_COLUMNS = ["round", "node_id", "role", "contribution", "tau", "quality",
@@ -55,15 +55,21 @@ def _load_cfg(config_path: str | None) -> SystemConfig:
     return load_config(config_path) if config_path else validate_config(SystemConfig())
 
 
-def _round_rows(rec: RoundRecord, roles: list[str]):
-    n = len(roles)
-    committee, detected = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    committee[rec.committee] = 1
-    detected[rec.detected] = 1
-    return zip(itertools.repeat(rec.round), range(n), roles, rec.contributions.tolist(),
-               rec.completion_times.tolist(), rec.qualities.tolist(),
-               rec.reputation_after.tolist(), rec.penalties.tolist(), rec.rewards.tolist(),
+def _round_text(rec: RoundRecord, node_ids: list[str], roles: list[str]) -> str:
+    """A round's rounds.csv rows as one string, byte for byte what the csv
+    module's default dialect writes for them: floats by `repr`, ints by
+    `str`, no cell quoted (no cell holds a comma, quote or line break), each
+    line ended by \\r\\n. `node_ids` and `roles` are node i's id and role tag
+    at index i."""
+    committee, detected = np.full(len(node_ids), "0"), np.full(len(node_ids), "0")
+    committee[rec.committee] = "1"
+    detected[rec.detected] = "1"
+    floats = (map(repr, col.tolist()) for col in (
+        rec.contributions, rec.completion_times, rec.qualities, rec.reputation_after,
+        rec.penalties, rec.rewards))
+    rows = zip(itertools.repeat(str(rec.round)), node_ids, roles, *floats,
                committee.tolist(), detected.tolist())
+    return "\r\n".join(map(",".join, rows)) + "\r\n"
 
 
 def _metrics_row(t: int, jain: float, gini: float, detected_count: int, reputation: np.ndarray,
@@ -79,6 +85,14 @@ def _csv_writer(fh, header: list[str]):
     writer = csv.writer(fh)
     writer.writerow(header)
     return writer
+
+
+def _summary_doc(state: WorldState) -> dict:
+    """summary.json's content: the run's summary, its node ids made the
+    string keys that JSON objects have."""
+    summary = state.summary()
+    summary["first_detection_round"] = {str(k): v for k, v in summary["first_detection_round"].items()}
+    return summary
 
 
 def _write_manifest(out_dir: Path, subcommand: str, cfg: SystemConfig,
@@ -115,19 +129,19 @@ def export_simulation(state: WorldState, records: Iterable[RoundRecord], out_dir
     arrives, so `records` may be `iter_rounds(state)`; summary.json is taken
     from `state` once `records` is exhausted."""
     malicious = state.nodes.malicious
+    node_ids = list(map(str, range(len(malicious))))
     roles = np.where(malicious, Role.MALICIOUS.value, Role.HONEST.value).tolist()
     with (out_dir / "rounds.csv").open("w", newline="") as rounds_fh, \
             (out_dir / "metrics.csv").open("w", newline="") as metrics_fh:
-        rounds_csv = _csv_writer(rounds_fh, ROUNDS_COLUMNS)
+        _csv_writer(rounds_fh, ROUNDS_COLUMNS)
         metrics_csv = _csv_writer(metrics_fh, METRICS_COLUMNS)
         for rec in records:
-            rounds_csv.writerows(_round_rows(rec, roles))
+            rounds_fh.write(_round_text(rec, node_ids, roles))
             metrics_csv.writerow(_metrics_row(rec.round, rec.jain_fairness, rec.gini,
                                               len(rec.detected), rec.reputation_after,
                                               rec.rewards, ~malicious, malicious))
-    summary = state.summary()
-    summary["first_detection_round"] = {str(k): v for k, v in summary["first_detection_round"].items()}
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out_dir / "summary.json").write_text(
+        json.dumps(_summary_doc(state), indent=2, sort_keys=True) + "\n")
     _write_manifest(out_dir, "simulate", state.cfg, config_path, [state.cfg.seed],
                     ["rounds.csv", "metrics.csv", "summary.json"],
                     extra={"columns": {"rounds.csv": ROUNDS_COLUMNS,
@@ -183,26 +197,25 @@ def cmd_sweep(args) -> int:
     # every grid point is checked before the first run, so a bad one writes nothing
     point_cfgs = [validate_config(replace(cfg, **dict(zip(keys, combo)))) for combo in combos]
 
-    rows = []
     run_summaries = []
-    for combo, point_cfg in zip(combos, point_cfgs):
-        for seed in seeds:
-            state = new_world(point_cfg, seed=seed)
-            malicious = state.nodes.malicious
-            rows += [[*combo, seed, *_metrics_row(rec.round, rec.jain_fairness, rec.gini,
-                                                  len(rec.detected), rec.reputation_after,
-                                                  rec.rewards, ~malicious, malicious)]
-                     for rec in iter_rounds(state)]
-            s = state.summary()
-            run_summaries.append({
-                "grid": dict(zip(keys, combo)), "seed": seed,
-                "honest_total_reward": s["honest_total_reward"],
-                "malicious_total_reward": s["malicious_total_reward"],
-                "cumulative_reward_gini": s["cumulative_reward_gini"],
-                "honest_reward_gini": s["honest_reward_gini"],
-            })
     with (out_dir / "sweep.csv").open("w", newline="") as fh:
-        _csv_writer(fh, keys + ["seed"] + METRICS_COLUMNS).writerows(rows)
+        sweep_csv = _csv_writer(fh, keys + ["seed"] + METRICS_COLUMNS)
+        for combo, point_cfg in zip(combos, point_cfgs):
+            for seed in seeds:
+                state = new_world(point_cfg, seed=seed)
+                malicious = state.nodes.malicious
+                sweep_csv.writerows([*combo, seed, *_metrics_row(
+                    rec.round, rec.jain_fairness, rec.gini, len(rec.detected),
+                    rec.reputation_after, rec.rewards, ~malicious, malicious)]
+                    for rec in iter_rounds(state))
+                s = state.summary()
+                run_summaries.append({
+                    "grid": dict(zip(keys, combo)), "seed": seed,
+                    "honest_total_reward": s["honest_total_reward"],
+                    "malicious_total_reward": s["malicious_total_reward"],
+                    "cumulative_reward_gini": s["cumulative_reward_gini"],
+                    "honest_reward_gini": s["honest_reward_gini"],
+                })
     (out_dir / "sweep_summary.json").write_text(
         json.dumps(run_summaries, indent=2, sort_keys=True) + "\n")
     # the manifest names the first run's seed, as simulate names its run's
@@ -228,14 +241,20 @@ def cmd_contract_opt(args) -> int:
     return 0
 
 
+def _csv_reader(fh, header: list[str], path: Path):
+    """A csv reader over an open file, past its header, which must be `header`."""
+    reader = csv.reader(fh)
+    if next(reader, None) != header:
+        raise ValueError(f"corrupt file (header is not {','.join(header)}): {path}")
+    return reader
+
+
 def _csv_rows(path: Path, header: list[str], types: list[type]):
     """Yield the rows of a CSV file, one at a time, after checking its header,
     with each cell parsed as its column's type; a row whose width differs
     from the header's, or a cell that does not parse, is a corrupt file."""
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ValueError(f"corrupt file (header is not {','.join(header)}): {path}")
+        reader = _csv_reader(fh, header, path)
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"corrupt file (line {reader.line_num} has {len(row)} fields,"
@@ -249,6 +268,44 @@ def _csv_rows(path: Path, header: list[str], types: list[type]):
             yield row
 
 
+def _csv_blocks(path: Path, header: list[str], types: list[type], size: int):
+    """Yield the rows of a CSV file `size` at a time (the last block may be
+    shorter), each block as its list of columns, after checking the header,
+    with each cell parsed as its column's type: a float column as a float64
+    array, any other as a list. A block with a row whose width differs from
+    the header's, or with a cell that does not parse, ends the blocks: the
+    file is read again through `_csv_rows`, which raises the error that
+    names the row's line."""
+    with path.open(newline="") as fh:
+        reader = _csv_reader(fh, header, path)
+        while rows := list(itertools.islice(reader, size)):
+            try:
+                # the strict zips raise ValueError on rows of unequal widths or of
+                # a width other than the header's
+                columns = [np.fromiter(map(float, column), float, len(rows)) if kind is float
+                           else list(map(kind, column))
+                           for kind, column in zip(types, zip(*rows, strict=True), strict=True)]
+            except ValueError:
+                break
+            del rows   # free the row strings while the block is checked
+            yield columns
+        else:
+            return
+    for _ in _csv_rows(path, header, types):
+        pass
+
+
+# the summary.json fields that rounds.csv and the manifest determine;
+# publisher_stake_income and publisher_contract_margin are not among them
+SUMMARY_FIELDS = ["seed", "rounds", "n_nodes", "n_honest", "n_malicious", "honest_total_reward",
+                  "malicious_total_reward", "honest_mean_reputation", "malicious_mean_reputation",
+                  "cumulative_reward_gini", "honest_reward_gini", "detected_per_round",
+                  "first_detection_round"]
+
+
+# IEEE arithmetic on cells read from the files: an inf or NaN fails the
+# check that reads it, without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_verify(args) -> int:
     out_dir = _resolve_out(args, create=False)
     manifest_path = out_dir / "manifest.json"
@@ -261,50 +318,89 @@ def cmd_verify(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad manifest {manifest_path}: {type(exc).__name__}: {exc}") from None
 
+    n = cfg.n_nodes
     per_round_paid: dict[int, float] = {}
     per_round_members: dict[int, int] = {}
     caps_ok = override_ok = finite_ok = in_order = quality_ok = penalty_ok = metrics_ok = True
     committee_rounds: dict[int, list[int]] = {}
     # the metrics.csv row each whole, in-order, finite round of rounds.csv implies
     implied_metrics: dict[int, list] = {}
-    metrics_mismatch = ""
+    metrics_mismatch = summary_mismatch = ""
     # each node's reputation after the round before
-    previous_rep = [cfg.initial_reputation] * cfg.n_nodes
+    previous_rep = np.full(n, float(cfg.initial_reputation))
+    # the run state after the whole rounds read so far, which summary.json reports
+    world = new_world(cfg)
+    reputation, malicious, total_reward = (
+        world.nodes.reputation, world.nodes.malicious, world.nodes.total_reward)
+    # rounds.csv is read n_nodes rows at a time, with the same verdicts as a
+    # row-by-row reading. A block that is in order and finite is held until
+    # the next row is read: it is a whole round unless that row continues it.
+    held = None
     # row k of rounds.csv is round k // n_nodes, node k % n_nodes; of metrics.csv, round k
     rounds_rows = metrics_rows = 0
     try:
         bad = [name for name, digest in digests.items() if _sha256(out_dir / name) != digest]
-        rounds = itertools.groupby(_csv_rows(out_dir / "rounds.csv", ROUNDS_COLUMNS, ROUNDS_TYPES),
-                                   key=lambda row: row[0])
-        for t, group in rounds:
-            round_rows = list(group)
-            round_finite = True
-            for row in round_rows:
-                _, node, _role, contribution, _tau, q, rep, penalty, reward, committee, detected = row
-                per_round_paid[t] = per_round_paid.get(t, 0.0) + reward
-                caps_ok = caps_ok and 0.0 <= rep <= cfg.r_max(t) + 1e-9
-                override_ok = override_ok and (contribution != 0.0 or reward == 0.0)
-                in_order = in_order and divmod(rounds_rows, cfg.n_nodes) == (t, node)
-                finite = all(map(math.isfinite, row[3:]))
-                finite_ok = finite_ok and finite
-                round_finite = round_finite and finite
-                if finite:
-                    quality_ok = quality_ok and q == quality(contribution, cfg.c_min, cfg.c_max)
-                if finite and in_order:
-                    penalty_ok = penalty_ok and (0.0 <= penalty <= previous_rep[node] / 2.0
-                                                 if detected else penalty == 0.0)
-                if in_order:
-                    previous_rep[node] = rep
-                if committee:
-                    committee_rounds.setdefault(node, []).append(t)
-                    per_round_members[t] = per_round_members.get(t, 0) + 1
-                rounds_rows += 1
-            if in_order and round_finite and len(round_rows) == cfg.n_nodes:
-                _, _, roles, _, _, _, reputation, _, rewards, _, detected = zip(*round_rows)
-                roles, reputation, rewards = np.array(roles), np.array(reputation), np.array(rewards)
+        blocks = _csv_blocks(out_dir / "rounds.csv", ROUNDS_COLUMNS, ROUNDS_TYPES, n)
+        for block in itertools.chain(blocks, [None]):   # None: the end of the file
+            if held is not None and (block is None or block[0][0] != held[0]):
+                t, roles, rep, rewards, detected_col, detected = held
                 implied_metrics[t] = _metrics_row(
-                    t, jain_index(rewards, cfg.epsilon), gini(rewards), sum(detected), reputation,
+                    t, jain_index(rewards, cfg.epsilon), gini(rewards), sum(detected_col), rep,
                     rewards, roles == Role.HONEST.value, roles == Role.MALICIOUS.value)
+                reputation, malicious = rep, roles == Role.MALICIOUS.value
+                total_reward = total_reward + rewards
+                world.detected_per_round.append(implied_metrics[t][3])
+                for node_id in np.flatnonzero(detected).tolist():
+                    world.first_detected.setdefault(node_id, t)
+                world.t += 1
+            held = None
+            if block is None:
+                break
+            t_col, node_col, roles, *floats, committee_col, detected_col = block
+            contribution, _, q, rep, penalty, reward = floats = np.stack(floats)
+            t, m = rounds_rows // n, len(t_col)
+            # object arrays keep every int that `int` parses, however large
+            ts, nodes, committee, detected = (np.array(col, dtype=object) for col in (
+                t_col, node_col, committee_col, detected_col))
+            committee, detected = committee != 0, detected != 0
+            ordered = np.logical_and.accumulate((ts == t) & (nodes == np.arange(m))) & in_order
+            finite = np.isfinite(floats).all(axis=0)
+            # each round number in the block, as one int object that the tallies share
+            rounds = dict(zip(t_col, t_col))
+            r_max = np.empty(m)
+            for r in rounds:
+                of_round = ts == r
+                per_round_paid[r] = sequential_sum(reward[of_round], per_round_paid.get(r, 0.0))
+                r_max[of_round] = cfg.r_max(r)
+            caps_ok &= bool(np.all((0.0 <= rep) & (rep <= r_max + 1e-9)))
+            override_ok &= bool(np.all((contribution != 0.0) | (reward == 0.0)))
+            finite_ok &= bool(finite.all())
+            quality_ok &= bool(np.all(
+                q[finite] == qualities(contribution[finite], cfg.c_min, cfg.c_max)))
+            penalty_ok &= bool(np.all(np.where(
+                detected, (0.0 <= penalty) & (penalty <= previous_rep[:m] / 2.0),
+                penalty == 0.0)[finite & ordered]))
+            # the in-order rows are a prefix, row i of which is node i
+            done = int(ordered.sum())
+            previous_rep[:done] = rep[:done]
+            for i in np.flatnonzero(committee).tolist():
+                r = rounds[t_col[i]]
+                committee_rounds.setdefault(node_col[i], []).append(r)
+                per_round_members[r] = per_round_members.get(r, 0) + 1
+            rounds_rows += m
+            in_order = bool(ordered[-1])
+            if m == n and in_order and finite.all():
+                held = (t, np.array(roles), rep, reward, detected_col, detected)
+        if in_order and finite_ok and rounds_rows == cfg.rounds * n:
+            world.nodes = replace(world.nodes, reputation=reputation, malicious=malicious,
+                                  total_reward=total_reward)
+            implied = _summary_doc(world)
+            try:
+                recorded = json.loads((out_dir / "summary.json").read_text())
+            except ValueError:
+                recorded = None
+            summary_mismatch = next((field for field in SUMMARY_FIELDS if not isinstance(
+                recorded, dict) or recorded.get(field) != implied[field]), "")
         for row in _csv_rows(out_dir / "metrics.csv", METRICS_COLUMNS, METRICS_TYPES):
             finite_ok = finite_ok and all(map(math.isfinite, row))
             in_order = in_order and row[0] == metrics_rows
@@ -322,7 +418,9 @@ def cmd_verify(args) -> int:
     # quality, penalty and metrics checks skip rows with a non-finite cell, and
     # the penalty and metrics checks stop at the first row out of order, whose
     # previous round is unknown. The metrics check also skips a round that
-    # rounds.csv does not hold whole; the coverage check fails such files.
+    # rounds.csv does not hold whole, and the summary check a rounds.csv that
+    # does not hold every round whole; the coverage and finiteness checks
+    # fail such files.
     bound = cfg.reward_pool + cfg.committee_size * cfg.committee_bonus
     checks = [
         ("file_hashes_match_manifest", not bad, ", ".join(bad)),
@@ -339,6 +437,7 @@ def cmd_verify(args) -> int:
         (f"committee_within_size (<= {cfg.committee_size})",
          all(size <= cfg.committee_size for size in per_round_members.values()), ""),
         ("metrics_recomputed_from_rounds", metrics_ok, metrics_mismatch),
+        ("summary_recomputed_from_rounds", not summary_mismatch, summary_mismatch),
         (f"rows_cover_every_round_and_node ({cfg.rounds} rounds x {cfg.n_nodes} nodes)",
          in_order and rounds_rows == cfg.rounds * cfg.n_nodes and metrics_rows == cfg.rounds,
          f"{rounds_rows} rounds.csv rows, {metrics_rows} metrics.csv rows"

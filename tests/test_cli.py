@@ -2,17 +2,20 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flmech import cli
 from flmech.cli import METRICS_COLUMNS, ROUNDS_COLUMNS, main
-from flmech.core import load_config
+from flmech.core import Role, RoundRecord, load_config
 from flmech.engine import new_world, run_simulation
 
 FAST_CONFIG = (
@@ -92,6 +95,44 @@ def test_streamed_simulate_matches_export_of_kept_records(fast_config, tmp_path,
         assert (kept / name).read_bytes() == (tmp_path / "streamed" / name).read_bytes()
     streamed = json.loads((tmp_path / "streamed" / "manifest.json").read_text())
     assert json.loads((kept / "manifest.json").read_text()) == {**streamed, "out_dir": "kept"}
+
+
+# the cells that csv.writer and repr must agree on, beside any float
+EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.2250738585072014e-308,
+               1e300]
+
+
+@st.composite
+def round_records(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+    columns = [np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=float)
+               for _ in range(6)]
+    ids = st.sets(st.integers(min_value=0, max_value=n - 1)).map(sorted)
+    roles = draw(st.lists(st.sampled_from([Role.HONEST.value, Role.MALICIOUS.value]),
+                          min_size=n, max_size=n))
+    rec = RoundRecord(
+        round=draw(st.integers(min_value=0, max_value=10**6)), committee=draw(ids),
+        undersized_committee=False, contributions=columns[0], completion_times=columns[1],
+        qualities=columns[2], reputation_after=columns[3], penalties=columns[4],
+        rewards=columns[5], detected=draw(ids), timeouts=[], jain_fairness=0.0, gini=0.0,
+        total_paid=0.0)
+    return rec, roles
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=round_records())
+def test_round_text_is_what_csv_writer_writes(case):
+    rec, roles = case
+    n = len(roles)
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(
+        [rec.round, i, roles[i], *(col.tolist()[i] for col in (
+            rec.contributions, rec.completion_times, rec.qualities, rec.reputation_after,
+            rec.penalties, rec.rewards)),
+         int(i in rec.committee), int(i in rec.detected)]
+        for i in range(n))
+    assert cli._round_text(rec, [str(i) for i in range(n)], roles) == buf.getvalue()
 
 
 # VmHWM is the peak RSS of this process's own address space; ru_maxrss would
@@ -427,8 +468,11 @@ def _swap(first, second):
      "180 rounds.csv rows, 12 metrics.csv rows"),
     ("rounds.csv", _swap(7, 40), "360 rounds.csv rows, 12 metrics.csv rows, out of order"),
     ("metrics.csv", _swap(2, 3), "360 rounds.csv rows, 12 metrics.csv rows, out of order"),
+    # every round after round 5 starts one row early
+    ("rounds.csv", lambda lines: lines[:1 + 5 * 30 + 13] + lines[2 + 5 * 30 + 13:],
+     "359 rounds.csv rows, 12 metrics.csv rows, out of order"),
 ], ids=["rounds.csv cut at a row boundary", "rounds.csv rows swapped",
-        "metrics.csv rows swapped"])
+        "metrics.csv rows swapped", "rounds.csv middle row deleted"])
 def test_verify_fails_rows_that_do_not_cover_the_run(fast_config, tmp_path, capsys,
                                                      name, edit, detail):
     out = tmp_path / "vr"
@@ -544,6 +588,101 @@ def test_verify_names_cell_that_does_not_parse(fast_config, tmp_path, capsys):
     assert main(["verify", "--out", str(out)]) == 1
     assert capsys.readouterr().err == ("error: corrupt file (line 2, column committee: 'nan'"
                                        f" is not int): {out / 'rounds.csv'}\n")
+
+
+def test_verify_names_cell_that_does_not_parse_in_a_later_round(fast_config, tmp_path, capsys):
+    out = tmp_path / "vp1"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    lines = (out / "rounds.csv").read_text().splitlines(keepends=True)
+    # round 1, node 5 is file line 1 + 30 + 5 + 1
+    cells = lines[36].split(",")
+    assert cells[:2] == ["1", "5"]
+    cells[ROUNDS_COLUMNS.index("reward")] = "x"
+    lines[36] = ",".join(cells)
+    (out / "rounds.csv").write_text("".join(lines))
+    rehash(out, "rounds.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: corrupt file (line 37, column reward: 'x'"
+                                       f" is not float): {out / 'rounds.csv'}\n")
+
+
+def test_verify_round_that_runs_on_is_not_whole(tmp_path, capsys):
+    # Round 0's last row appears twice, so round 0 runs on past n_nodes rows and
+    # is not whole: its metrics.csv row is not recomputed and the edited jain
+    # goes unread; only the coverage check fails. Node 29 is malicious here and
+    # submits nothing in round 0, so the copy adds nothing to the round's pay.
+    cfg = tmp_path / "zero_attack.cfg"
+    cfg.write_text("n_nodes = 30\nrounds = 12\nmalicious_percent = 0.2\n"
+                   "attack_schedule = 0:12:zero\nseed = 14\n")
+    out = tmp_path / "vw"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "rounds.csv").read_text().splitlines(keepends=True)
+    last = lines[30].split(",")
+    assert last[:3] == ["0", "29", "malicious"] and last[COMMITTEE] == "0"
+    assert float(last[ROUNDS_COLUMNS.index("reward")]) == 0.0
+    (out / "rounds.csv").write_text("".join(lines[:31] + lines[30:]))
+    edit_first_row(out / "metrics.csv", jain="0.123")
+    rehash(out, "rounds.csv", "metrics.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL rows_cover_every_round_and_node (12 rounds x 30 nodes)"
+                      " (361 rounds.csv rows, 12 metrics.csv rows, out of order)"]
+
+
+def test_verify_passes_a_population_of_one(tmp_path, capsys):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("n_nodes = 1\ncommittee_size = 1\nrounds = 12\n")
+    out = tmp_path / "one"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert "FAIL" not in report
+    assert "PASS rows_cover_every_round_and_node (12 rounds x 1 nodes)" in report
+
+
+def _bump(value):
+    # a value of the same JSON type that differs from the one written
+    return value + 1 if isinstance(value, int) else value * 2.0 + 1.0
+
+
+SUMMARY_EDITS = {
+    "seed": lambda s: _bump(s["seed"]),
+    "rounds": lambda s: _bump(s["rounds"]),
+    "n_nodes": lambda s: _bump(s["n_nodes"]),
+    "n_honest": lambda s: _bump(s["n_honest"]),
+    "n_malicious": lambda s: _bump(s["n_malicious"]),
+    "detected_per_round": lambda s: [_bump(s["detected_per_round"][0]),
+                                     *s["detected_per_round"][1:]],
+    # a node flagged one round later than rounds.csv says
+    "first_detection_round": lambda s: {
+        **s["first_detection_round"],
+        min(s["first_detection_round"]): _bump(s["first_detection_round"][
+            min(s["first_detection_round"])])},
+    "honest_total_reward": lambda s: _bump(s["honest_total_reward"]),
+    "malicious_total_reward": lambda s: _bump(s["malicious_total_reward"]),
+    "honest_mean_reputation": lambda s: _bump(s["honest_mean_reputation"]),
+    "malicious_mean_reputation": lambda s: _bump(s["malicious_mean_reputation"]),
+    "cumulative_reward_gini": lambda s: s["cumulative_reward_gini"] / 2.0,
+    "honest_reward_gini": lambda s: s["honest_reward_gini"] / 2.0,
+}
+
+
+@pytest.mark.parametrize("field", sorted(SUMMARY_EDITS))
+def test_verify_recomputes_each_summary_field(fast_config, tmp_path, capsys, field):
+    out = tmp_path / "vs"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["first_detection_round"]
+    summary[field] = SUMMARY_EDITS[field](summary)
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    rehash(out, "summary.json")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == [f"FAIL summary_recomputed_from_rounds ({field})"]
 
 
 def test_verify_missing_manifest_exits_2(tmp_path, capsys):

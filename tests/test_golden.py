@@ -1,5 +1,6 @@
 """Golden trace: the exact bytes `flmech simulate` writes for two pinned runs,
-and the `contract.json` that `flmech contract-opt` writes for two configs.
+the `sweep.csv` and `sweep_summary.json` of one small `flmech sweep`, and the
+`contract.json` that `flmech contract-opt` writes for two configs.
 
 Criterion 9 only compares two runs from one checkout; these hashes catch a
 change to any output byte across commits. Re-pin them only in a change that
@@ -46,6 +47,24 @@ def test_simulate_output_matches_golden_hashes(name, tmp_path):
     assert main(argv) == 0
     actual = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in expected}
     assert actual == expected
+
+
+SWEEP_GOLDEN = {
+    "sweep.csv": "5a605f91133209776e0e1beba79fdc66799483f94eabd46c0597681f60a198b1",
+    "sweep_summary.json": "17fff55e0ac83a780799735c6a810ab4dc51051512d99c5720782d0d2a233361",
+}
+
+
+def test_sweep_output_matches_golden_hashes(tmp_path):
+    # two grid points x two seeds of a 30-node, 12-round config
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text("n_nodes = 30\nrounds = 12\nmalicious_percent = 0.2\n"
+                        "eta_switch = 3\nseed = 7\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--grid", "malicious_percent=0.1,0.3",
+                 "--seeds", "0:2", "--out", str(out)]) == 0
+    actual = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in SWEEP_GOLDEN}
+    assert actual == SWEEP_GOLDEN
 
 
 CONTRACT_GOLDEN = {
