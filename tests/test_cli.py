@@ -656,11 +656,9 @@ SUMMARY_EDITS = {
     "n_malicious": lambda s: _bump(s["n_malicious"]),
     "detected_per_round": lambda s: [_bump(s["detected_per_round"][0]),
                                      *s["detected_per_round"][1:]],
-    # a node flagged one round later than rounds.csv says
-    "first_detection_round": lambda s: {
-        **s["first_detection_round"],
-        min(s["first_detection_round"]): _bump(s["first_detection_round"][
-            min(s["first_detection_round"])])},
+    # every flagged node flagged one round later than rounds.csv says
+    "first_detection_round": lambda s: {node: _bump(t)
+                                        for node, t in s["first_detection_round"].items()},
     "honest_total_reward": lambda s: _bump(s["honest_total_reward"]),
     "malicious_total_reward": lambda s: _bump(s["malicious_total_reward"]),
     "honest_mean_reputation": lambda s: _bump(s["honest_mean_reputation"]),
