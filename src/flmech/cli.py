@@ -241,66 +241,53 @@ def cmd_contract_opt(args) -> int:
     return 0
 
 
-def _csv_reader(fh, header: list[str], path: Path):
-    """A csv reader over an open file, past its header, which must be `header`."""
-    reader = csv.reader(fh)
-    if next(reader, None) != header:
-        raise ValueError(f"corrupt file (header is not {','.join(header)}): {path}")
-    return reader
-
-
-def _csv_rows(path: Path, header: list[str], types: list[type]):
-    """Yield the rows of a CSV file, one at a time, after checking its header,
-    with each cell parsed as its column's type; a row whose width differs
-    from the header's, or a cell that does not parse, is a corrupt file."""
-    with path.open(newline="") as fh:
-        reader = _csv_reader(fh, header, path)
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"corrupt file (line {reader.line_num} has {len(row)} fields,"
-                                 f" expected {len(header)}): {path}")
-            for column, kind in enumerate(types):
-                try:
-                    row[column] = kind(row[column])
-                except ValueError:
-                    raise ValueError(f"corrupt file (line {reader.line_num}, column {header[column]}:"
-                                     f" {row[column]!r} is not {kind.__name__}): {path}") from None
-            yield row
-
-
 def _csv_blocks(path: Path, header: list[str], types: list[type], size: int):
     """Yield the rows of a CSV file `size` at a time (the last block may be
     shorter), each block as its list of columns, after checking the header,
     with each cell parsed as its column's type: a float column as a float64
-    array, any other as a list. A block with a row whose width differs from
-    the header's, or with a cell that does not parse, ends the blocks: the
-    file is read again through `_csv_rows`, which raises the error that
-    names the row's line."""
+    array, any other as a list. A row whose width differs from the header's,
+    a cell that does not parse, or text the csv module rejects (such as a cell
+    over `csv.field_size_limit()`) is a corrupt file, and the error names its
+    line."""
     with path.open(newline="") as fh:
-        reader = _csv_reader(fh, header, path)
-        while rows := list(itertools.islice(reader, size)):
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != header:
+                raise ValueError(f"corrupt file (header is not {','.join(header)}): {path}")
+            line = reader.line_num
+            while rows := list(itertools.islice(reader, size)):
+                try:
+                    # the strict zips raise ValueError on rows of unequal widths or of
+                    # a width other than the header's
+                    columns = [np.fromiter(map(float, column), float, len(rows)) if kind is float
+                               else list(map(kind, column))
+                               for kind, column in zip(types, zip(*rows, strict=True), strict=True)]
+                except ValueError:
+                    _raise_bad_row(rows, line, header, types, path)
+                    raise
+                del rows   # free the row strings while the block is checked
+                yield columns
+                line = reader.line_num
+        except csv.Error as exc:
+            raise ValueError(f"corrupt file (line {reader.line_num}: {exc}): {path}") from None
+
+
+def _raise_bad_row(rows: list[list[str]], line: int, header: list[str], types: list[type],
+                   path: Path) -> None:
+    """Raise the error that names the first bad row of a block whose first row
+    follows file line `line`. A row ends on the line after its line breaks,
+    those in its quoted cells included, as the csv reader counts lines."""
+    for row in rows:
+        line += 1 + sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in row)
+        if len(row) != len(header):
+            raise ValueError(f"corrupt file (line {line} has {len(row)} fields,"
+                             f" expected {len(header)}): {path}")
+        for cell, column, kind in zip(row, header, types):
             try:
-                # the strict zips raise ValueError on rows of unequal widths or of
-                # a width other than the header's
-                columns = [np.fromiter(map(float, column), float, len(rows)) if kind is float
-                           else list(map(kind, column))
-                           for kind, column in zip(types, zip(*rows, strict=True), strict=True)]
+                kind(cell)
             except ValueError:
-                break
-            del rows   # free the row strings while the block is checked
-            yield columns
-        else:
-            return
-    for _ in _csv_rows(path, header, types):
-        pass
-
-
-# the summary.json fields that rounds.csv and the manifest determine;
-# publisher_stake_income and publisher_contract_margin are not among them
-SUMMARY_FIELDS = ["seed", "rounds", "n_nodes", "n_honest", "n_malicious", "honest_total_reward",
-                  "malicious_total_reward", "honest_mean_reputation", "malicious_mean_reputation",
-                  "cumulative_reward_gini", "honest_reward_gini", "detected_per_round",
-                  "first_detection_round"]
+                raise ValueError(f"corrupt file (line {line}, column {column}:"
+                                 f" {cell!r} is not {kind.__name__}): {path}") from None
 
 
 # IEEE arithmetic on cells read from the files: an inf or NaN fails the
@@ -332,33 +319,19 @@ def cmd_verify(args) -> int:
     world = new_world(cfg)
     reputation, malicious, total_reward = (
         world.nodes.reputation, world.nodes.malicious, world.nodes.total_reward)
-    # rounds.csv is read n_nodes rows at a time, with the same verdicts as a
-    # row-by-row reading. A block that is in order and finite is held until
-    # the next row is read: it is a whole round unless that row continues it.
-    held = None
     # row k of rounds.csv is round k // n_nodes, node k % n_nodes; of metrics.csv, round k
     rounds_rows = metrics_rows = 0
     try:
         bad = [name for name, digest in digests.items() if _sha256(out_dir / name) != digest]
-        blocks = _csv_blocks(out_dir / "rounds.csv", ROUNDS_COLUMNS, ROUNDS_TYPES, n)
-        for block in itertools.chain(blocks, [None]):   # None: the end of the file
-            if held is not None and (block is None or block[0][0] != held[0]):
-                t, roles, rep, rewards, detected_col, detected = held
-                implied_metrics[t] = _metrics_row(
-                    t, jain_index(rewards, cfg.epsilon), gini(rewards), sum(detected_col), rep,
-                    rewards, roles == Role.HONEST.value, roles == Role.MALICIOUS.value)
-                reputation, malicious = rep, roles == Role.MALICIOUS.value
-                total_reward = total_reward + rewards
-                world.detected_per_round.append(implied_metrics[t][3])
-                for node_id in np.flatnonzero(detected).tolist():
-                    world.first_detected.setdefault(node_id, t)
-                world.t += 1
-            held = None
-            if block is None:
-                break
+        # rounds.csv is read n_nodes rows at a time, with the same verdicts as a
+        # row-by-row reading
+        for block in _csv_blocks(out_dir / "rounds.csv", ROUNDS_COLUMNS, ROUNDS_TYPES, n):
             t_col, node_col, roles, *floats, committee_col, detected_col = block
             contribution, _, q, rep, penalty, reward = floats = np.stack(floats)
             t, m = rounds_rows // n, len(t_col)
+            if in_order and t_col[0] == t - 1:
+                # round t - 1 runs on into this block, so it is not whole
+                implied_metrics.pop(t - 1, None)
             # object arrays keep every int that `int` parses, however large
             ts, nodes, committee, detected = (np.array(col, dtype=object) for col in (
                 t_col, node_col, committee_col, detected_col))
@@ -390,7 +363,18 @@ def cmd_verify(args) -> int:
             rounds_rows += m
             in_order = bool(ordered[-1])
             if m == n and in_order and finite.all():
-                held = (t, np.array(roles), rep, reward, detected_col, detected)
+                # a whole round, unless the next row repeats its round number; that
+                # makes the file out of order, so the summary is not checked
+                roles = np.array(roles)
+                reputation, malicious = rep, roles == Role.MALICIOUS.value
+                implied_metrics[t] = _metrics_row(
+                    t, jain_index(reward, cfg.epsilon), gini(reward), sum(detected_col), rep,
+                    reward, roles == Role.HONEST.value, malicious)
+                total_reward = total_reward + reward
+                world.detected_per_round.append(implied_metrics[t][3])
+                for node_id in np.flatnonzero(detected).tolist():
+                    world.first_detected.setdefault(node_id, t)
+                world.t += 1
         if in_order and finite_ok and rounds_rows == cfg.rounds * n:
             world.nodes = replace(world.nodes, reputation=reputation, malicious=malicious,
                                   total_reward=total_reward)
@@ -399,17 +383,22 @@ def cmd_verify(args) -> int:
                 recorded = json.loads((out_dir / "summary.json").read_text())
             except ValueError:
                 recorded = None
-            summary_mismatch = next((field for field in SUMMARY_FIELDS if not isinstance(
-                recorded, dict) or recorded.get(field) != implied[field]), "")
-        for row in _csv_rows(out_dir / "metrics.csv", METRICS_COLUMNS, METRICS_TYPES):
-            finite_ok = finite_ok and all(map(math.isfinite, row))
-            in_order = in_order and row[0] == metrics_rows
-            implied = implied_metrics.pop(row[0], None)
-            if metrics_ok and implied is not None and row != implied:
-                metrics_ok = False
-                column = next(c for c, a, b in zip(METRICS_COLUMNS, row, implied) if a != b)
-                metrics_mismatch = f"round {row[0]}: {column}"
-            metrics_rows += 1
+            # rounds.csv has no stake or contract value column, so the publisher
+            # fields are not checked
+            summary_mismatch = next((field for field, value in implied.items()
+                                     if not field.startswith("publisher_") and (not isinstance(
+                                         recorded, dict) or recorded.get(field) != value)), "")
+        # any block size gives the same verdicts
+        for block in _csv_blocks(out_dir / "metrics.csv", METRICS_COLUMNS, METRICS_TYPES, n):
+            for row in map(list, zip(*block)):
+                finite_ok = finite_ok and all(map(math.isfinite, row))
+                in_order = in_order and row[0] == metrics_rows
+                implied = implied_metrics.pop(row[0], None)
+                if metrics_ok and implied is not None and row != implied:
+                    metrics_ok = False
+                    column = next(c for c, a, b in zip(METRICS_COLUMNS, row, implied) if a != b)
+                    metrics_mismatch = f"round {row[0]}: {column}"
+                metrics_rows += 1
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,7 @@
 Each round: collect contributions, select the committee, (logically)
 aggregate, detect and penalize malicious behaviour or apply the reputation
 update, allocate rewards, compute fairness metrics, and emit an audit
-record. Node state is held as columns (`core.Population`); each step reads
+record. Node state is kept as columns (`core.Population`); each step reads
 columns and returns new arrays, and a round swaps in its new population and
 ledger only once every step has succeeded, so a failure inside any step
 leaves the pre-round state in place.
@@ -148,7 +148,7 @@ def _run_round_steps(state: WorldState) -> tuple[Population, PublisherLedger, Ro
 
     # (2) committee on pre-update reputations, then cooldown bookkeeping
     selection = committee_mod.select_committee(pop, cfg, state.rng.stream("committee", t))
-    pop = replace(pop, cooldown=committee_mod.update_cooldowns(pop, selection.members, cfg))
+    cooldown = committee_mod.update_cooldowns(pop, selection.members, cfg)
 
     # (3) committee performs aggregation: logical no-op, contribution scalars
     # stand in for model updates
@@ -162,16 +162,16 @@ def _run_round_steps(state: WorldState) -> tuple[Population, PublisherLedger, Ro
     updated = update_reputations(pop, q, cfg, t)
     pop = replace(pop, reputation=np.where(report.flagged, penalized.reputation, updated),
                   stake=penalized.stake)
-    ledger = replace(ledger, stake_deductions=ledger.stake_deductions + penalized.stake_deducted)
 
-    # (6) rewards on post-update reputations
+    # (6) rewards on post-update reputations (no step reads the new cooldowns)
     rewards = reward_mod.allocate_rewards(pop, selection.members, cfg)
-    pop = replace(pop, total_reward=pop.total_reward + rewards)
+    pop = replace(pop, cooldown=cooldown, total_reward=pop.total_reward + rewards)
+    margin = ledger.contract_margin
     if cfg.contract_accounting:
         # contract.contribution_value of every node, added to the margin in node order
         value = (cfg.contribution_bonus / completion_times) * q
-        ledger = replace(ledger, contract_margin=sequential_sum(value - rewards,
-                                                                ledger.contract_margin))
+        margin = sequential_sum(value - rewards, margin)
+    ledger = PublisherLedger(ledger.stake_deductions + penalized.stake_deducted, margin)
 
     # (7) fairness metrics over this round's rewards
     jain = jain_index(rewards, cfg.epsilon)

@@ -607,6 +607,55 @@ def test_verify_names_cell_that_does_not_parse_in_a_later_round(fast_config, tmp
                                        f" is not float): {out / 'rounds.csv'}\n")
 
 
+def test_verify_names_line_of_cell_over_the_field_limit(fast_config, tmp_path, capsys):
+    # a quoted cell longer than csv.field_size_limit() (131,072 characters) is
+    # a corrupt file: one error line and exit 1, never a traceback
+    out = tmp_path / "vl"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    lines = (out / "rounds.csv").read_text().splitlines(keepends=True)
+    cells = lines[5].split(",")
+    cells[ROUNDS_COLUMNS.index("role")] = '"' + "x" * 200_000 + '"'
+    lines[5] = ",".join(cells)
+    (out / "rounds.csv").write_text("".join(lines))
+    rehash(out, "rounds.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt file (line 6") and err.count("\n") == 1
+
+
+def test_verify_counts_lines_of_cells_that_hold_line_breaks(fast_config, tmp_path, capsys):
+    # row 1's quoted role spans file lines 2 and 3, so row 4 is file line 6
+    out = tmp_path / "vb"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    rows = read_rows(out / "rounds.csv")
+    rows[1][ROUNDS_COLUMNS.index("role")] = "hon\r\nest"
+    rows[4][ROUNDS_COLUMNS.index("reward")] = "x"
+    with (out / "rounds.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    rehash(out, "rounds.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: corrupt file (line 6, column reward: 'x'"
+                                       f" is not float): {out / 'rounds.csv'}\n")
+
+
+def test_verify_names_metrics_cell_that_does_not_parse(fast_config, tmp_path, capsys):
+    out = tmp_path / "vmx"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    lines = (out / "metrics.csv").read_text().splitlines(keepends=True)
+    cells = lines[3].split(",")
+    assert cells[0] == "2"
+    cells[METRICS_COLUMNS.index("jain")] = "x"
+    lines[3] = ",".join(cells)
+    (out / "metrics.csv").write_text("".join(lines))
+    rehash(out, "metrics.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: corrupt file (line 4, column jain: 'x'"
+                                       f" is not float): {out / 'metrics.csv'}\n")
+
+
 def test_verify_round_that_runs_on_is_not_whole(tmp_path, capsys):
     # Round 0's last row appears twice, so round 0 runs on past n_nodes rows and
     # is not whole: its metrics.csv row is not recomputed and the edited jain
