@@ -245,11 +245,31 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         problems.append("tau_low/tau_high: completion times must be a positive range")
     if not (0.0 <= cfg.random_mix_p_high <= 1.0):
         problems.append("random_mix_p_high: must lie in [0,1]")
+    if not (0.0 <= cfg.stake_weight <= 1.0):
+        problems.append("stake_weight: must lie in [0,1]")
+    # Every exact sum a run takes must stay finite, with a factor 2 to spare
+    # for rounding. A round pays at most `pay` in all; jain_ratio squares and
+    # sums the reputations and a round's rewards, the square sum times n; and
+    # gini over the run's reward totals adds up to n times their sum.
+    n = cfg.n_nodes
+    pay = cfg.reward_pool + cfg.committee_size * cfg.committee_bonus
+    reputation_total = n * max(cfg.initial_reputation, cfg.r_max_early, cfg.r_max_late)
+    for names, bound in [
+        ("n_nodes/initial_stake: the stake total", n * cfg.initial_stake),
+        ("n_nodes/initial_reputation/r_max_early/r_max_late: the reputations' square sum",
+         reputation_total * reputation_total),
+        ("n_nodes/reward_pool/committee_size/committee_bonus: a round's reward square sum",
+         n * pay * pay),
+        ("n_nodes/rounds/reward_pool/committee_size/committee_bonus: the run's reward total",
+         n * cfg.rounds * pay),
+    ]:
+        if not math.isfinite(2.0 * bound):
+            problems.append(f"{names} must stay finite")
     nonneg = [
         "initial_stake", "initial_reputation", "r_max_early", "r_max_late",
         "committee_bonus", "base_decay", "decay_compensation", "default_stability",
         "contribution_bonus", "stability_bonus", "reputation_penalty_factor",
-        "stake_penalty_factor", "reward_pool", "stake_weight", "theta_low",
+        "stake_penalty_factor", "reward_pool", "theta_low",
         "theta_fluct", "theta_jump", "eps_std", "normal_sigma", "false_high_std",
         "eta_switch",
     ]

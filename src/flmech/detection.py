@@ -13,6 +13,7 @@ Detection reads contribution histories only; it never sees the ground-truth
 role tag. Nodes with fewer than two recorded rounds are never flagged.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Population, SystemConfig
-from .metrics import mean, pstd, sequential_sum
+from .metrics import mean, sequential_sum
 
 
 @dataclass
@@ -56,9 +57,10 @@ def detect(pop: Population, cfg: SystemConfig) -> DetectionReport:
     """Evaluate the condition set for the current round (contributions
     already collected, so the last history row is this round's).
 
-    The population median is over every node's last tau contributions, and
-    this round's mean and std are `metrics.mean` and `metrics.pstd`. A
-    node's own mean and std are numpy reductions over the round axis.
+    The population median is over every node's last tau contributions.
+    This round's mean and std are `metrics.pstd`'s arithmetic, with the one
+    `metrics.mean` serving both. A node's own mean and std are numpy
+    reductions over the round axis.
     """
     tau = cfg.window
     history = pop.history
@@ -68,7 +70,9 @@ def detect(pop: Population, cfg: SystemConfig) -> DetectionReport:
 
     c_now, window = history[-1], history[-tau:]
     pop_median = _median(window.ravel())
-    round_mean, round_std = mean(c_now.tolist()), pstd(c_now)
+    round_mean = mean(c_now)
+    d = c_now - round_mean
+    round_std = math.sqrt(mean(d * d))
 
     cond1 = window.mean(axis=0) < cfg.theta_low * pop_median
     cond2 = np.abs(c_now - round_mean) > cfg.theta_fluct * round_std

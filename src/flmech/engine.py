@@ -192,7 +192,7 @@ def _run_round_steps(state: WorldState) -> tuple[Population, PublisherLedger, Ro
         timeouts=timeouts,
         jain_fairness=jain,
         gini=g,
-        total_paid=math.fsum(rewards),
+        total_paid=math.fsum(rewards.tolist()),
     )
 
 

@@ -12,7 +12,10 @@ _TINY = 2.0 ** -1048
 
 
 def mean(values) -> float:
-    """Arithmetic mean by math.fsum; 0.0 for empty input."""
+    """Arithmetic mean by math.fsum; 0.0 for empty input. An array is summed
+    from its list, since fsum over numpy scalars costs several times more."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     return math.fsum(values) / len(values) if len(values) else 0.0
 
 
@@ -22,8 +25,8 @@ def pstd(values) -> float:
     if not len(values):
         return 0.0
     v = np.asarray(values, dtype=float)
-    d = v - math.fsum(v.tolist()) / len(v)
-    return math.sqrt(math.fsum((d * d).tolist()) / len(v))
+    d = v - mean(v)
+    return math.sqrt(mean(d * d))
 
 
 def jain_ratio(values, eps: float = 1e-8) -> float:
@@ -35,13 +38,20 @@ def jain_ratio(values, eps: float = 1e-8) -> float:
     them. Values whose largest magnitude is below 2**-1048 are not scaled;
     their squares underflow, and they score 0 like all-zero input.
     """
+    return _jain_parts(values, eps)[0]
+
+
+def _jain_parts(values, eps: float) -> tuple[float, float | None]:
+    """(jain_ratio of the values, their exact total), the total None when
+    the values were rescaled, since it is then not the values' own."""
     v = np.asarray(values, dtype=float)
     peak = float(np.abs(v).max()) if v.size else 0.0
-    if _TINY <= peak < 1.0:
+    scaled = _TINY <= peak < 1.0
+    if scaled:
         v = np.ldexp(v, -math.frexp(peak)[1])
     total = math.fsum(v.tolist())
     sq = math.fsum((v * v).tolist())
-    return (total * total) / (len(v) * sq + eps)
+    return (total * total) / (len(v) * sq + eps), None if scaled else total
 
 
 def jain_index(values, eps: float = 1e-8) -> float:
@@ -49,9 +59,13 @@ def jain_index(values, eps: float = 1e-8) -> float:
     the mean so low-valued allocations score lower.
 
     Equal positive values give the pure ratio 1; the result is then
-    sigmoid(mean/10) of that. All-zero input scores 0.
+    sigmoid(mean/10) of that. All-zero input scores 0. The mean reuses the
+    ratio's total unless the ratio rescaled the values.
     """
-    return jain_ratio(values, eps) * sigmoid(mean(values) / 10.0)
+    ratio, total = _jain_parts(values, eps)
+    # an empty input's total is 0.0, so max() only guards the division
+    m = mean(values) if total is None else total / max(len(values), 1)
+    return ratio * sigmoid(m / 10.0)
 
 
 def gini(values) -> float:

@@ -29,7 +29,7 @@ def qualities(contributions: np.ndarray, c_min: float, c_max: float) -> np.ndarr
     if c_max <= c_min:
         raise DomainError("c_max must exceed c_min")
     x = (contributions - c_min) / (c_max - c_min)
-    z = np.array(list(map(math.exp, (-np.abs(x)).tolist())))  # exp(-|x|)
+    z = np.fromiter(map(math.exp, (-np.abs(x)).tolist()), float, len(x))  # exp(-|x|)
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 

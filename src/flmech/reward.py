@@ -71,10 +71,9 @@ def allocate_rewards(pop: Population, committee: list[int], cfg: SystemConfig) -
     last, after the committee bonus.
     """
     n = len(pop)
-    reputations = pop.reputation.tolist()
-    fairness = jain_index(reputations, cfg.epsilon)
+    fairness = jain_index(pop.reputation, cfg.epsilon)
     # every node starts from cfg.initial_reputation, so alpha is uniform
-    alpha = alpha_weight(mean(reputations), cfg.initial_reputation, cfg.f_scale,
+    alpha = alpha_weight(mean(pop.reputation), cfg.initial_reputation, cfg.f_scale,
                          cfg.stake_weight)
     beta = 1.0 - alpha
 

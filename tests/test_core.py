@@ -36,6 +36,14 @@ def test_gamma_boundary_excluded():
     validate_config(dataclasses.replace(SystemConfig(), gamma=1.0))
 
 
+def test_stake_weight_bounds_included():
+    # above 1, beta = 1 - alpha goes negative and rewards can be negative
+    for weight in (0.0, 1.0):
+        validate_config(dataclasses.replace(SystemConfig(), stake_weight=weight))
+    with pytest.raises(ConfigError, match=r"stake_weight: must lie in \[0,1\]"):
+        validate_config(dataclasses.replace(SystemConfig(), stake_weight=1.5))
+
+
 def test_all_violations_reported_together():
     cfg = dataclasses.replace(SystemConfig(), gamma=0.0, history_decay=1.5,
                               malicious_percent=2.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -359,3 +360,21 @@ def test_simulation_does_not_import_scipy():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_round_sums_each_column_once_from_a_list(monkeypatch):
+    # math.fsum over an ndarray walks numpy scalars, several times slower than
+    # over the array's list; and a round needs 11 exact sums over n values
+    n, fsum, lengths = 50, math.fsum, []
+
+    def list_only_fsum(values):
+        assert not isinstance(values, np.ndarray), "math.fsum given an ndarray"
+        lengths.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", list_only_fsum)
+    state = new_world(dataclasses.replace(SystemConfig(), n_nodes=n, rounds=12))
+    for _ in range(12):
+        lengths.clear()
+        run_round(state)
+        assert lengths.count(n) <= 11

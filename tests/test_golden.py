@@ -34,6 +34,15 @@ GOLDEN = {
             "summary.json": "d98ccfed2045b5332cf7b0058e0b422135a9d6ba35a2764dde3ec398a355f3e2",
         },
     ),
+    # the wide_population width: n=2000, T=8, other fields at defaults
+    "wide": (
+        ["--config", "{wide}"],
+        {
+            "rounds.csv": "99a472f1785c0ed7c0e45ef462392d612113d6f02e08edf8e80a70d53320a385",
+            "metrics.csv": "b40400213afa3212800c13a1c3922e55ca980fbfa4eaa6a5c27006d370e2af29",
+            "summary.json": "58cd7b022419d38effdf204cb69d34470bb83ecdfd81b71914f299f826dea791",
+        },
+    ),
 }
 
 
@@ -41,9 +50,11 @@ GOLDEN = {
 def test_simulate_output_matches_golden_hashes(name, tmp_path):
     cfg_path = tmp_path / "criterion9.cfg"
     cfg_path.write_text("n_nodes = 40\nrounds = 20\nseed = 11\n")
+    wide_path = tmp_path / "wide.cfg"
+    wide_path.write_text("n_nodes = 2000\nrounds = 8\n")
     args, expected = GOLDEN[name]
     out = tmp_path / "out"
-    argv = ["simulate", *(a.format(cfg=cfg_path) for a in args), "--out", str(out)]
+    argv = ["simulate", *(a.format(cfg=cfg_path, wide=wide_path) for a in args), "--out", str(out)]
     assert main(argv) == 0
     actual = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in expected}
     assert actual == expected

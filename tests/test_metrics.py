@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from flmech.core import sigmoid
-from flmech.metrics import gini, jain_index, mean
+from flmech.metrics import gini, jain_index, jain_ratio, mean
 
 positive_lists = st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30)
 
@@ -42,6 +42,28 @@ def test_list_and_array_give_identical_bits(values):
     array = np.array(values, dtype=np.float64)
     for f in (mean, jain_index, gini):
         assert outcome(f, values) == outcome(f, array), f.__name__
+
+
+def separately_summed_jain_index(values, eps=1e-8):
+    """jain_index as the ratio times the sigmoid of a mean summed on its own."""
+    return jain_ratio(values, eps) * sigmoid(mean(values) / 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+@example(values=[0.3, 0.1, 0.2])                # peak in [2**-1048, 0.5): rescaled
+@example(values=[2.0 ** -1048, 5e-324, -0.0])   # the smallest peak that is rescaled
+@example(values=[1e-320, -5e-324, 0.0])         # subnormals too small to rescale
+@example(values=[0.0, -0.0])
+@example(values=[-0.0])
+@example(values=[])
+@example(values=[1e200, 3.0])                   # the squares overflow
+@example(values=[1.5e308, 1.5e308])             # the total overflows
+def test_jain_index_reuses_only_an_unscaled_total(values):
+    # jain_index takes the mean from the ratio's total unless the ratio
+    # rescaled the values; the bits, or the error, must not change
+    for v in (values, np.array(values, dtype=np.float64)):
+        assert outcome(jain_index, v) == outcome(separately_summed_jain_index, v)
 
 
 def test_jain_equal_values():
