@@ -779,6 +779,15 @@ def _manifest_case(text, name):
     # valid configs outside the closed form's domain
     _config_file_case("reward_pool = 0", "contract-opt"),
     _config_file_case("stake_weight = 1", "contract-opt"),
+    # each of these overflowed an exact sum of the run: a traceback, or nan
+    # written to metrics.csv with exit 0
+    *map(_config_file_case, [
+        "reward_pool = 1e200", "reward_pool = 1e160",
+        "initial_reputation = 1e200\nr_max_early = 1e300\nr_max_late = 1e300",
+        # beta = 1 - alpha goes negative above 1
+        "stake_weight = 2", "stake_weight = 1e300"]),
+    _sweep_case("--grid", "initial_stake=1e308", "--seeds", "0"),
+    _sweep_case("--grid", "committee_bonus=1e308", "--seeds", "0"),
     _sweep_case("--grid", "n_nodes=abc"),
     _sweep_case("--seeds", "5:2"),
     _sweep_case("--seeds", "abc"),
@@ -801,18 +810,3 @@ def test_bad_input_exits_2_with_one_error_line(make_argv, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     # nothing is written for a rejected input
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
-
-
-@pytest.mark.parametrize("make_argv", [
-    # each of these overflowed an exact sum of the run: a traceback, or nan
-    # written to metrics.csv with exit 0
-    _sweep_case("--grid", "initial_stake=1e308", "--seeds", "0"),
-    _sweep_case("--grid", "committee_bonus=1e308", "--seeds", "0"),
-    *map(_config_file_case, [
-        "reward_pool = 1e200", "reward_pool = 1e160",
-        "initial_reputation = 1e200\nr_max_early = 1e300\nr_max_late = 1e300",
-        # beta = 1 - alpha goes negative above 1
-        "stake_weight = 2", "stake_weight = 1e300"]),
-])
-def test_config_whose_sums_overflow_exits_2_with_one_error_line(make_argv, tmp_path, capsys):
-    test_bad_input_exits_2_with_one_error_line(make_argv, tmp_path, capsys)

@@ -1,6 +1,6 @@
-"""Golden trace: the exact bytes `flmech simulate` writes for two pinned runs,
-the `sweep.csv` and `sweep_summary.json` of one small `flmech sweep`, and the
-`contract.json` that `flmech contract-opt` writes for two configs.
+"""Golden trace: the exact bytes `flmech simulate` writes for three pinned
+runs, the `sweep.csv` and `sweep_summary.json` of one small `flmech sweep`,
+and the `contract.json` that `flmech contract-opt` writes for two configs.
 
 Criterion 9 only compares two runs from one checkout; these hashes catch a
 change to any output byte across commits. Re-pin them only in a change that
@@ -54,7 +54,8 @@ def test_simulate_output_matches_golden_hashes(name, tmp_path):
     wide_path.write_text("n_nodes = 2000\nrounds = 8\n")
     args, expected = GOLDEN[name]
     out = tmp_path / "out"
-    argv = ["simulate", *(a.format(cfg=cfg_path, wide=wide_path) for a in args), "--out", str(out)]
+    argv = ["simulate", *(a.format(cfg=cfg_path, wide=wide_path) for a in args),
+            "--out", str(out)]
     assert main(argv) == 0
     actual = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in expected}
     assert actual == expected
