@@ -306,67 +306,56 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"bad manifest {manifest_path}: {type(exc).__name__}: {exc}") from None
 
     n = cfg.n_nodes
-    per_round_paid: dict[int, float] = {}
-    per_round_members: dict[int, int] = {}
-    caps_ok = override_ok = finite_ok = in_order = quality_ok = penalty_ok = metrics_ok = True
-    committee_rounds: dict[int, list[int]] = {}
-    # the metrics.csv row each whole, in-order, finite round of rounds.csv implies
-    implied_metrics: dict[int, list] = {}
+    bound = cfg.reward_pool + cfg.committee_size * cfg.committee_bonus
+    caps_ok = override_ok = finite_ok = quality_ok = in_order = metrics_in_order = True
+    paid_ok = size_ok = gap_ok = penalty_ok = metrics_ok = True
+    # the metrics.csv row each whole, in-order round of rounds.csv implies, at
+    # index t; None for a round with a non-finite cell
+    implied_metrics: list[list | None] = []
     metrics_mismatch = summary_mismatch = ""
-    # each node's reputation after the round before
-    previous_rep = np.full(n, float(cfg.initial_reputation))
     # the run state after the whole rounds read so far, which summary.json reports
     world = new_world(cfg)
     reputation, malicious, total_reward = (
         world.nodes.reputation, world.nodes.malicious, world.nodes.total_reward)
+    # the last round each node sat on a committee (one no gap check can fail before the first)
+    last_member = np.full(n, -1 - cfg.cooldown_period, dtype=np.int64)
     # row k of rounds.csv is round k // n_nodes, node k % n_nodes; of metrics.csv, round k
     rounds_rows = metrics_rows = 0
     try:
         bad = [name for name, digest in digests.items() if _sha256(out_dir / name) != digest]
-        # rounds.csv is read n_nodes rows at a time, with the same verdicts as a
-        # row-by-row reading
         for block in _csv_blocks(out_dir / "rounds.csv", ROUNDS_COLUMNS, ROUNDS_TYPES, n):
             t_col, node_col, roles, *floats, committee_col, detected_col = block
             contribution, _, q, rep, penalty, reward = floats = np.stack(floats)
             t, m = rounds_rows // n, len(t_col)
-            if in_order and t_col[0] == t - 1:
+            if in_order and t and t_col[0] == t - 1:
                 # round t - 1 runs on into this block, so it is not whole
-                implied_metrics.pop(t - 1, None)
-            # object arrays keep every int that `int` parses, however large
-            ts, nodes, committee, detected = (np.array(col, dtype=object) for col in (
-                t_col, node_col, committee_col, detected_col))
-            committee, detected = committee != 0, detected != 0
-            ordered = np.logical_and.accumulate((ts == t) & (nodes == np.arange(m))) & in_order
+                implied_metrics[-1] = None
+            in_order = in_order and t_col == [t] * m and node_col == list(range(m))
             finite = np.isfinite(floats).all(axis=0)
-            # each round number in the block, as one int object that the tallies share
-            rounds = dict(zip(t_col, t_col))
-            r_max = np.empty(m)
-            for r in rounds:
-                of_round = ts == r
-                per_round_paid[r] = sequential_sum(reward[of_round], per_round_paid.get(r, 0.0))
-                r_max[of_round] = cfg.r_max(r)
+            # in order, every row is of round t
+            r_max = cfg.r_max(t) if in_order else np.fromiter(map(cfg.r_max, t_col), float, m)
             caps_ok &= bool(np.all((0.0 <= rep) & (rep <= r_max + 1e-9)))
             override_ok &= bool(np.all((contribution != 0.0) | (reward == 0.0)))
             finite_ok &= bool(finite.all())
             quality_ok &= bool(np.all(
                 q[finite] == qualities(contribution[finite], cfg.c_min, cfg.c_max)))
-            penalty_ok &= bool(np.all(np.where(
-                detected, (0.0 <= penalty) & (penalty <= previous_rep[:m] / 2.0),
-                penalty == 0.0)[finite & ordered]))
-            # the in-order rows are a prefix, row i of which is node i
-            done = int(ordered.sum())
-            previous_rep[:done] = rep[:done]
-            for i in np.flatnonzero(committee).tolist():
-                r = rounds[t_col[i]]
-                committee_rounds.setdefault(node_col[i], []).append(r)
-                per_round_members[r] = per_round_members.get(r, 0) + 1
             rounds_rows += m
-            in_order = bool(ordered[-1])
-            if m == n and in_order and finite.all():
-                # a whole round, unless the next row repeats its round number; that
-                # makes the file out of order, so the summary is not checked
+            if not in_order or m < n:
+                # the checks below compare rows, so they read whole rounds only
+                continue
+            members, detected = np.flatnonzero(committee_col), np.array(detected_col, dtype=bool)
+            paid_ok &= sequential_sum(reward) <= bound + 1e-9
+            size_ok &= members.size <= cfg.committee_size
+            gap_ok &= bool(np.all(t - last_member[members] > cfg.cooldown_period))
+            last_member[members] = t
+            penalty_ok &= bool(np.all(np.where(
+                detected, (0.0 <= penalty) & (penalty <= reputation / 2.0),
+                penalty == 0.0)[finite]))
+            reputation = rep
+            implied_metrics.append(None)
+            if finite.all():
                 roles = np.array(roles)
-                reputation, malicious = rep, roles == Role.MALICIOUS.value
+                malicious = roles == Role.MALICIOUS.value
                 implied_metrics[t] = _metrics_row(
                     t, jain_index(reward, cfg.epsilon), gini(reward), sum(detected_col), rep,
                     reward, roles == Role.HONEST.value, malicious)
@@ -392,8 +381,9 @@ def cmd_verify(args) -> int:
         for block in _csv_blocks(out_dir / "metrics.csv", METRICS_COLUMNS, METRICS_TYPES, n):
             for row in map(list, zip(*block)):
                 finite_ok = finite_ok and all(map(math.isfinite, row))
-                in_order = in_order and row[0] == metrics_rows
-                implied = implied_metrics.pop(row[0], None)
+                metrics_in_order = metrics_in_order and row[0] == metrics_rows
+                implied = (implied_metrics[metrics_rows] if metrics_in_order
+                           and metrics_rows < len(implied_metrics) else None)
                 if metrics_ok and implied is not None and row != implied:
                     metrics_ok = False
                     column = next(c for c, a, b in zip(METRICS_COLUMNS, row, implied) if a != b)
@@ -404,27 +394,21 @@ def cmd_verify(args) -> int:
         return 1
 
     # Each check holds only when its comparison is true, so a NaN fails it; the
-    # quality, penalty and metrics checks skip rows with a non-finite cell, and
-    # the penalty and metrics checks stop at the first row out of order, whose
-    # previous round is unknown. The metrics check also skips a round that
-    # rounds.csv does not hold whole, and the summary check a rounds.csv that
-    # does not hold every round whole; the coverage and finiteness checks
-    # fail such files.
-    bound = cfg.reward_pool + cfg.committee_size * cfg.committee_bonus
+    # quality, penalty and metrics checks skip rows with a non-finite cell. The
+    # checks that compare rows stop at the first block of rounds.csv that is not
+    # round t's rows in node order, the metrics check also at the first
+    # metrics.csv row out of order; the coverage check fails such files.
+    in_order = in_order and metrics_in_order
     checks = [
         ("file_hashes_match_manifest", not bad, ", ".join(bad)),
-        (f"reward_conservation_per_round (<= {bound})",
-         all(paid <= bound + 1e-9 for paid in per_round_paid.values()), ""),
+        (f"reward_conservation_per_round (<= {bound})", paid_ok, ""),
         ("reputation_within_caps", caps_ok, ""),
         ("zero_contribution_zero_reward", override_ok, ""),
-        (f"committee_gap_exceeds_cooldown (> {cfg.cooldown_period})",
-         all(b - a > cfg.cooldown_period for ts in map(sorted, committee_rounds.values())
-             for a, b in zip(ts, ts[1:])), ""),
+        (f"committee_gap_exceeds_cooldown (> {cfg.cooldown_period})", gap_ok, ""),
         ("numeric_cells_finite", finite_ok, ""),
         ("quality_is_sigmoid_of_contribution", quality_ok, ""),
         ("penalty_only_if_detected_at_most_half_reputation", penalty_ok, ""),
-        (f"committee_within_size (<= {cfg.committee_size})",
-         all(size <= cfg.committee_size for size in per_round_members.values()), ""),
+        (f"committee_within_size (<= {cfg.committee_size})", size_ok, ""),
         ("metrics_recomputed_from_rounds", metrics_ok, metrics_mismatch),
         ("summary_recomputed_from_rounds", not summary_mismatch, summary_mismatch),
         (f"rows_cover_every_round_and_node ({cfg.rounds} rounds x {cfg.n_nodes} nodes)",

@@ -78,12 +78,17 @@ def select_committee(nodes: Population | Sequence[Node], cfg: SystemConfig,
     eligible_by_rank = cooldown[ranked] == 0
 
     picked: list[int] = []
-    for k in range(L):
-        lo, hi = (k * n) // L, ((k + 1) * n) // L
+    # visit only the strata that hold a node, at most n: stratum k holds ranks
+    # [k*n // L, (k+1)*n // L), so rank lo lies in stratum ((lo+1)*L - 1) // n
+    lo = 0
+    while lo < n:
+        k = ((lo + 1) * L - 1) // n
+        hi = ((k + 1) * n) // L
         elig = ranked[lo:hi][eligible_by_rank[lo:hi]]
         if elig.size and len(picked) < K:
             m_k = min(max(1, min(stratum_quota(K, L, k + 1), elig.size)), K - len(picked))
             picked.extend(weighted_sample_without_replacement(elig, weight[elig], m_k, rng))
+        lo = hi
 
     if len(picked) < K:
         pool_mask = cooldown == 0

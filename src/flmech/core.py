@@ -196,16 +196,22 @@ class SystemConfig:
 
 # Config file values are parsed against the dataclass field types.
 _CONFIG_FIELDS = {f.name: f for f in fields(SystemConfig)}
+# every int field but the seed, which the RNG masks to 64 bits
+_BOUNDED_INTS = [f.name for f in fields(SystemConfig) if f.type is int and f.name != "seed"]
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every config invariant; return the config if all hold.
 
     Raises ConfigError naming each violated constraint (all of them, not
-    just the first).
+    just the first); an int field other than `seed` beyond 2**53 in
+    magnitude, which the other checks would multiply by floats, is named alone.
     """
+    oversized = [name for name in _BOUNDED_INTS if abs(getattr(cfg, name)) > 2**53]
+    if oversized:
+        raise ConfigError("; ".join(f"{name}: must lie in [-2**53, 2**53]" for name in oversized))
     problems = []
-    for f in fields(SystemConfig):
+    for f in _CONFIG_FIELDS.values():
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             problems.append(f"{f.name}: must be finite")
@@ -223,8 +229,6 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         problems.append("history_decay: zeta must lie in (0,1)")
     if cfg.base_decay + cfg.decay_compensation > 1.0:
         problems.append("base_decay/decay_compensation: delta_b + lambda_p must be <= 1")
-    if not (0.0 <= cfg.malicious_percent <= 1.0):
-        problems.append("malicious_percent: must lie in [0,1]")
     if cfg.c_max <= cfg.c_min:
         problems.append("c_max: must exceed c_min")
     if cfg.window < 1:
@@ -243,17 +247,19 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         problems.append("fluct_low/fluct_high: invalid range")
     if cfg.tau_low > cfg.tau_high or cfg.tau_low <= 0:
         problems.append("tau_low/tau_high: completion times must be a positive range")
-    if not (0.0 <= cfg.random_mix_p_high <= 1.0):
-        problems.append("random_mix_p_high: must lie in [0,1]")
-    if not (0.0 <= cfg.stake_weight <= 1.0):
-        problems.append("stake_weight: must lie in [0,1]")
+    for name in ("malicious_percent", "random_mix_p_high", "stake_weight", "stake_penalty_factor"):
+        if not (0.0 <= getattr(cfg, name) <= 1.0):
+            problems.append(f"{name}: must lie in [0,1]")
     # Every exact sum a run takes must stay finite, with a factor 2 to spare
     # for rounding. A round pays at most `pay` in all; jain_ratio squares and
-    # sums the reputations and a round's rewards, the square sum times n; and
-    # gini over the run's reward totals adds up to n times their sum.
+    # sums the reputations and a round's rewards, the square sum times n; gini
+    # over the run's reward totals adds up to n times their sum; and a node's
+    # contract value is at most contribution_bonus / tau_low.
     n = cfg.n_nodes
     pay = cfg.reward_pool + cfg.committee_size * cfg.committee_bonus
     reputation_total = n * max(cfg.initial_reputation, cfg.r_max_early, cfg.r_max_late)
+    margin = (n * cfg.rounds * (cfg.contribution_bonus / cfg.tau_low + pay)
+              if cfg.contract_accounting and cfg.tau_low > 0 else 0.0)
     for names, bound in [
         ("n_nodes/initial_stake: the stake total", n * cfg.initial_stake),
         ("n_nodes/initial_reputation/r_max_early/r_max_late: the reputations' square sum",
@@ -262,6 +268,8 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
          n * pay * pay),
         ("n_nodes/rounds/reward_pool/committee_size/committee_bonus: the run's reward total",
          n * cfg.rounds * pay),
+        ("n_nodes/rounds/contribution_bonus/tau_low/reward_pool/committee_size/committee_bonus:"
+         " the contract margin", margin),
     ]:
         if not math.isfinite(2.0 * bound):
             problems.append(f"{names} must stay finite")
@@ -269,7 +277,7 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         "initial_stake", "initial_reputation", "r_max_early", "r_max_late",
         "committee_bonus", "base_decay", "decay_compensation", "default_stability",
         "contribution_bonus", "stability_bonus", "reputation_penalty_factor",
-        "stake_penalty_factor", "reward_pool", "theta_low",
+        "reward_pool", "theta_low",
         "theta_fluct", "theta_jump", "eps_std", "normal_sigma", "false_high_std",
         "eta_switch",
     ]

@@ -471,8 +471,10 @@ def _swap(first, second):
     # every round after round 5 starts one row early
     ("rounds.csv", lambda lines: lines[:1 + 5 * 30 + 13] + lines[2 + 5 * 30 + 13:],
      "359 rounds.csv rows, 12 metrics.csv rows, out of order"),
+    # round 5 is not whole, but its 13 rows are in order
+    ("rounds.csv", lambda lines: lines[:1 + 163], "163 rounds.csv rows, 12 metrics.csv rows"),
 ], ids=["rounds.csv cut at a row boundary", "rounds.csv rows swapped",
-        "metrics.csv rows swapped", "rounds.csv middle row deleted"])
+        "metrics.csv rows swapped", "rounds.csv middle row deleted", "rounds.csv cut mid-round"])
 def test_verify_fails_rows_that_do_not_cover_the_run(fast_config, tmp_path, capsys,
                                                      name, edit, detail):
     out = tmp_path / "vr"
@@ -737,13 +739,13 @@ def test_verify_missing_manifest_exits_2(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
-def _config_file_case(text, command="simulate"):
+def _config_file_case(text, command="simulate", label=None):
     def argv(tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(text + "\n")
         return [command, "--config", str(path), "--out", str(tmp_path / "o")]
     prefix = "" if command == "simulate" else f"{command} "
-    return pytest.param(argv, id=prefix + text.replace("\n", "; "))
+    return pytest.param(argv, id=prefix + (label or text.replace("\n", "; ")))
 
 
 def _sweep_case(*flags):
@@ -785,7 +787,13 @@ def _manifest_case(text, name):
         "reward_pool = 1e200", "reward_pool = 1e160",
         "initial_reputation = 1e200\nr_max_early = 1e300\nr_max_late = 1e300",
         # beta = 1 - alpha goes negative above 1
-        "stake_weight = 2", "stake_weight = 1e300"]),
+        "stake_weight = 2", "stake_weight = 1e300",
+        # the publisher ledger took in more stake than the nodes lost, or its
+        # contract margin went to Infinity in summary.json
+        "stake_penalty_factor = 2", "contract_accounting = true\ncontribution_bonus = 1e306"]),
+    # an int too large for a C long, or for a double, ended in a traceback
+    _config_file_case("cooldown_period = 100000000000000000000"),
+    _config_file_case("n_nodes = 1" + "0" * 400, label="n_nodes of 401 digits"),
     _sweep_case("--grid", "initial_stake=1e308", "--seeds", "0"),
     _sweep_case("--grid", "committee_bonus=1e308", "--seeds", "0"),
     _sweep_case("--grid", "n_nodes=abc"),

@@ -159,6 +159,50 @@ def test_cooldown_stratum_spills_into_global_pool():
     assert all(nid in (0, 1, 2, 6, 7, 8) for nid in sel.members[3:])
 
 
+def _all_strata_committee(reputation, cooldown, cfg, rng):
+    """select_committee as a loop over every stratum, the empty ones included."""
+    n, L, K = len(reputation), cfg.strata, cfg.committee_size
+    weight = reputation ** cfg.gamma
+    ranked = np.lexsort((np.arange(n), -reputation))
+    picked = []
+    for k in range(L):
+        elig = [i for i in ranked[(k * n) // L:((k + 1) * n) // L] if cooldown[i] == 0]
+        if elig and len(picked) < K:
+            m_k = min(max(1, min(stratum_quota(K, L, k + 1), len(elig))), K - len(picked))
+            picked += weighted_sample_without_replacement(np.array(elig), weight[elig], m_k, rng)
+    pool = [i for i in range(n) if cooldown[i] == 0 and i not in picked]
+    take = min(K - len(picked), len(pool))
+    if take > 0:
+        picked += weighted_sample_without_replacement(np.array(pool), weight[pool], take, rng)
+    return [int(i) for i in picked]
+
+
+def test_select_committee_visits_strata_as_a_loop_over_all_of_them():
+    for n in (1, 2, 3, 5, 8, 12):
+        for strata, committee_size in itertools.product(range(1, 4 * n + 1), range(1, n + 1)):
+            draw = np.random.default_rng([n, strata, committee_size])
+            reputation = draw.choice([0.0, 1.0, 5.0, 50.0], n)
+            cooldown = draw.integers(0, 3, n)
+            cfg = dataclasses.replace(SystemConfig(), n_nodes=n, committee_size=committee_size,
+                                      strata=strata)
+            pop = Population.from_nodes([make_node(i, reputation[i], cooldown[i])
+                                         for i in range(n)])
+            assert (select_committee(pop, cfg, np.random.default_rng(n)).members
+                    == _all_strata_committee(reputation, cooldown, cfg, np.random.default_rng(n)))
+
+
+def test_select_committee_with_more_strata_than_a_loop_could_visit():
+    # with strata >= n every node has a stratum of its own, so 2**53 strata
+    # pick as n strata do
+    cfg = dataclasses.replace(SystemConfig(), n_nodes=30)
+    reputation = np.linspace(10.0, 300.0, 30)
+    cooldown = np.arange(30) % 4
+    pop = Population.from_nodes([make_node(i, reputation[i], cooldown[i]) for i in range(30)])
+    sel = select_committee(pop, dataclasses.replace(cfg, strata=2**53), np.random.default_rng(4))
+    assert sel.members == _all_strata_committee(
+        reputation, cooldown, dataclasses.replace(cfg, strata=30), np.random.default_rng(4))
+
+
 def test_update_cooldowns():
     cfg = SystemConfig()
     pop = Population.from_nodes([make_node(0, cooldown=0), make_node(1, cooldown=0),

@@ -44,6 +44,16 @@ def test_stake_weight_bounds_included():
         validate_config(dataclasses.replace(SystemConfig(), stake_weight=1.5))
 
 
+def test_int_and_stake_penalty_bounds_included():
+    # every int but the seed is exact as a double; a flagged node loses at most its stake
+    validate_config(dataclasses.replace(SystemConfig(), cooldown_period=2**53,
+                                        stake_penalty_factor=1.0))
+    with pytest.raises(ConfigError, match=r"cooldown_period: must lie in \[-2\*\*53, 2\*\*53\]"):
+        validate_config(dataclasses.replace(SystemConfig(), cooldown_period=2**53 + 1))
+    with pytest.raises(ConfigError, match=r"stake_penalty_factor: must lie in \[0,1\]"):
+        validate_config(dataclasses.replace(SystemConfig(), stake_penalty_factor=1.5))
+
+
 def test_all_violations_reported_together():
     cfg = dataclasses.replace(SystemConfig(), gamma=0.0, history_decay=1.5,
                               malicious_percent=2.0)
