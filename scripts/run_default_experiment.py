@@ -5,35 +5,48 @@ numbers: detection timeline, reputation separation, reward ratio, fairness.
 Usage:
     python scripts/run_default_experiment.py [--seed N] [--out DIR]
 
-With --out, the same run is also exported as `flmech simulate` would write
-it (per-round CSVs, summary and manifest).
+The run is made by `flmech simulate`, and the numbers are read from the files
+it writes; with --out they are kept in DIR, otherwise in a temporary directory.
 """
 
 import argparse
+import contextlib
+import csv
+import io
+import itertools
+import json
+import sys
+import tempfile
 from pathlib import Path
 
-from flmech.cli import export_simulation
-from flmech.core import Role, SystemConfig
-from flmech.engine import run_simulation
+from flmech.cli import main as cli_main
+from flmech.core import Role
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--out", help="also export CSVs to this directory")
+    parser.add_argument("--out", help="keep the simulate files here")
     args = parser.parse_args()
 
-    cfg = SystemConfig()
-    result = run_simulation(cfg, seed=args.seed)
-    s = result.summary()
+    with tempfile.TemporaryDirectory() as scratch:
+        out_dir = Path(args.out or scratch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["simulate", "--seed", str(args.seed), "--out", str(out_dir)])
+        if code != 0:
+            return code
+        s = json.loads((out_dir / "summary.json").read_text())
+        # round 0's rows, one per node, tag each node's role
+        with (out_dir / "rounds.csv").open(newline="") as fh:
+            rows = itertools.islice(csv.DictReader(fh), s["n_nodes"])
+            malicious = [row["node_id"] for row in rows if row["role"] == Role.MALICIOUS.value]
 
-    print(f"seed {args.seed}: {s['n_honest']} honest, {s['n_malicious']} malicious, "
+    print(f"seed {s['seed']}: {s['n_honest']} honest, {s['n_malicious']} malicious, "
           f"{s['rounds']} rounds")
     detected = s["detected_per_round"]
     print(f"detections per round [0..9]:  {detected[:10]}")
     print(f"detections per round [60..69]: {detected[60:70]}")
     first = s["first_detection_round"]
-    malicious = [nd.id for nd in result.nodes if nd.role is Role.MALICIOUS]
     print(f"malicious flagged at least once: {sum(1 for m in malicious if m in first)}"
           f"/{len(malicious)}")
     print(f"mean reputation at round 90: honest {s['honest_mean_reputation']:.1f}, "
@@ -44,12 +57,8 @@ def main():
     print(f"cumulative-reward gini {s['cumulative_reward_gini']:.3f} "
           f"(honest-only {s['honest_reward_gini']:.3f})")
     print(f"publisher stake income {s['publisher_stake_income']:.1f}")
-
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        export_simulation(result, result.records, out_dir)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

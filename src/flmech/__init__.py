@@ -11,7 +11,7 @@ from .detection import DetectionReport, apply_penalties, detect, penalty
 from .engine import PublisherLedger, WorldState, iter_rounds, new_world, run_round, run_simulation
 from .metrics import gini, jain_index
 from .contract import (
-    ContractContext, DegenerateContract, OptimalSolution, SolverError, contribution_value,
+    ContractContext, DegenerateContract, OptimalSolution, contribution_value,
     default_contract_context, effort_cost, grid_oracle, optimal_contract_closed_form,
     optimal_contribution_closed_form, relaxed_profit, reward_slope, solve_constrained,
 )

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -122,12 +121,12 @@ def _resolve_out(args, create: bool = True) -> Path:
     return path
 
 
-def export_simulation(state: WorldState, records: Iterable[RoundRecord], out_dir: Path,
-                      config_path: str | None = None) -> None:
-    """Write one run's rounds.csv, metrics.csv, summary.json and manifest.json
-    into an existing directory. Each record's rows are written as the record
-    arrives, so `records` may be `iter_rounds(state)`; summary.json is taken
-    from `state` once `records` is exhausted."""
+def cmd_simulate(args) -> int:
+    """Write one run's rounds.csv, metrics.csv, summary.json and manifest.json,
+    each round's rows as the round finishes."""
+    cfg = _load_cfg(args.config)
+    out_dir = _resolve_out(args)
+    state = new_world(cfg, seed=args.seed)
     malicious = state.nodes.malicious
     node_ids = list(map(str, range(len(malicious))))
     roles = np.where(malicious, Role.MALICIOUS.value, Role.HONEST.value).tolist()
@@ -135,25 +134,18 @@ def export_simulation(state: WorldState, records: Iterable[RoundRecord], out_dir
             (out_dir / "metrics.csv").open("w", newline="") as metrics_fh:
         _csv_writer(rounds_fh, ROUNDS_COLUMNS)
         metrics_csv = _csv_writer(metrics_fh, METRICS_COLUMNS)
-        for rec in records:
+        for rec in iter_rounds(state):
             rounds_fh.write(_round_text(rec, node_ids, roles))
             metrics_csv.writerow(_metrics_row(rec.round, rec.jain_fairness, rec.gini,
                                               len(rec.detected), rec.reputation_after,
                                               rec.rewards, ~malicious, malicious))
     (out_dir / "summary.json").write_text(
         json.dumps(_summary_doc(state), indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "simulate", state.cfg, config_path, [state.cfg.seed],
+    _write_manifest(out_dir, "simulate", state.cfg, args.config, [state.cfg.seed],
                     ["rounds.csv", "metrics.csv", "summary.json"],
                     extra={"columns": {"rounds.csv": ROUNDS_COLUMNS,
                                        "metrics.csv": METRICS_COLUMNS}})
     print(f"simulate: wrote rounds.csv, metrics.csv, summary.json, manifest.json to {out_dir}")
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load_cfg(args.config)
-    out_dir = _resolve_out(args)
-    state = new_world(cfg, seed=args.seed)
-    export_simulation(state, iter_rounds(state), out_dir, args.config)
     return 0
 
 
@@ -360,10 +352,7 @@ def cmd_verify(args) -> int:
                     t, jain_index(reward, cfg.epsilon), gini(reward), sum(detected_col), rep,
                     reward, roles == Role.HONEST.value, malicious)
                 total_reward = total_reward + reward
-                world.detected_per_round.append(implied_metrics[t][3])
-                for node_id in np.flatnonzero(detected).tolist():
-                    world.first_detected.setdefault(node_id, t)
-                world.t += 1
+                world.tally_round(np.flatnonzero(detected).tolist())
         if in_order and finite_ok and rounds_rows == cfg.rounds * n:
             world.nodes = replace(world.nodes, reputation=reputation, malicious=malicious,
                                   total_reward=total_reward)
@@ -458,8 +447,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, DomainError, FileNotFoundError, MemoryError) as exc:
+        # a list too long to build raises a MemoryError with no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except DegenerateContract as exc:
         print(f"error: {exc}", file=sys.stderr)

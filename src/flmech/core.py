@@ -98,9 +98,7 @@ class Population(Sequence):
     def __len__(self) -> int:
         return len(self.stake)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> Node:
         i, n = operator.index(i), len(self)
         if not -n <= i < n:
             raise IndexError(f"node {i} out of range for {n} nodes")

@@ -55,6 +55,13 @@ class WorldState:
     first_detected: dict[int, int] = field(default_factory=dict)
     records: list[RoundRecord] = field(default_factory=list)
 
+    def tally_round(self, detected: list[int]) -> None:
+        """Tally finished round `t`, which flagged node ids `detected`, and advance `t`."""
+        self.detected_per_round.append(len(detected))
+        for node_id in detected:
+            self.first_detected.setdefault(node_id, self.t)
+        self.t += 1
+
     def first_detection_round(self) -> dict[int, int]:
         """Earliest round each node id was flagged, for nodes ever flagged."""
         return dict(self.first_detected)
@@ -122,14 +129,10 @@ def run_round(state: WorldState) -> RoundRecord:
     round's record without keeping it. Atomic over the state: the round
     computes a new population and ledger and swaps them in only when every
     step has succeeded."""
-    cfg, t = state.cfg, state.t
-    if t >= cfg.rounds:
-        raise ValueError(f"round {t} out of range; run has {cfg.rounds} rounds")
+    if state.t >= state.cfg.rounds:
+        raise ValueError(f"round {state.t} out of range; run has {state.cfg.rounds} rounds")
     state.nodes, state.ledger, record = _run_round_steps(state)
-    state.detected_per_round.append(len(record.detected))
-    for node_id in record.detected:
-        state.first_detected.setdefault(node_id, t)
-    state.t += 1
+    state.tally_round(record.detected)
     return record
 
 
