@@ -1,10 +1,11 @@
 """Per-round contribution generation for honest and adversarial nodes.
 
 Honest nodes always draw from the normal pattern. Malicious nodes follow the
-attack schedule (`core.attack_patterns`), which switches pattern as the run
-progresses: a false-high phase (masquerade as a high-value node),
-zero-contribution phases, and a mixed phase that randomly alternates between
-the two.
+attack schedule, a table of phases (`core.attack_patterns`) that switches
+pattern as the run progresses: a false-high phase (masquerade as a
+high-value node), zero-contribution phases, and a mixed phase that randomly
+alternates between the two. The round engine looks up round t's phase and
+passes its pattern to `sample_contributions`.
 
 A round's draws come from one stream in batches of n values per variable,
 and node i takes element i of each batch. Every variable is drawn for every

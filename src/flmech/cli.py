@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -41,7 +42,10 @@ ROUNDS_COLUMNS = ["round", "node_id", "role", "contribution", "tau", "quality",
                   "reputation", "penalty", "reward", "committee", "detected"]
 METRICS_COLUMNS = ["round", "jain", "gini", "detected_count", "honest_mean_rep",
                    "malicious_mean_rep", "honest_mean_reward", "malicious_mean_reward"]
-ROUNDS_TYPES = [int, int, str] + [float] * 6 + [int, int]
+# a committee or detected cell is a flag: "0" or "1" reads as 0 or 1, any other
+# cell raises ValueError
+_flag = ("0", "1").index
+ROUNDS_TYPES = [int, int, str] + [float] * 6 + [_flag, _flag]
 METRICS_TYPES = [int, float, float, int] + [float] * 4
 
 
@@ -233,14 +237,14 @@ def cmd_contract_opt(args) -> int:
     return 0
 
 
-def _csv_blocks(path: Path, header: list[str], types: list[type], size: int):
+def _csv_blocks(path: Path, header: list[str], types: list[Callable[[str], object]], size: int):
     """Yield the rows of a CSV file `size` at a time (the last block may be
     shorter), each block as its list of columns, after checking the header,
     with each cell parsed as its column's type: a float column as a float64
-    array, any other as a list. A row whose width differs from the header's,
-    a cell that does not parse, or text the csv module rejects (such as a cell
-    over `csv.field_size_limit()`) is a corrupt file, and the error names its
-    line."""
+    array, any other as a list (a flag column's cells as 0 or 1). A row whose
+    width differs from the header's, a cell that does not parse, or text the
+    csv module rejects (such as a cell over `csv.field_size_limit()`) is a
+    corrupt file, and the error names its line."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -264,8 +268,8 @@ def _csv_blocks(path: Path, header: list[str], types: list[type], size: int):
             raise ValueError(f"corrupt file (line {reader.line_num}: {exc}): {path}") from None
 
 
-def _raise_bad_row(rows: list[list[str]], line: int, header: list[str], types: list[type],
-                   path: Path) -> None:
+def _raise_bad_row(rows: list[list[str]], line: int, header: list[str],
+                   types: list[Callable[[str], object]], path: Path) -> None:
     """Raise the error that names the first bad row of a block whose first row
     follows file line `line`. A row ends on the line after its line breaks,
     those in its quoted cells included, as the csv reader counts lines."""
@@ -278,8 +282,9 @@ def _raise_bad_row(rows: list[list[str]], line: int, header: list[str], types: l
             try:
                 kind(cell)
             except ValueError:
+                name = "0 or 1" if kind is _flag else kind.__name__
                 raise ValueError(f"corrupt file (line {line}, column {column}:"
-                                 f" {cell!r} is not {kind.__name__}): {path}") from None
+                                 f" {cell!r} is not {name}): {path}") from None
 
 
 # IEEE arithmetic on cells read from the files: an inf or NaN fails the
@@ -448,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DomainError, FileNotFoundError, MemoryError) as exc:
-        # a list too long to build raises a MemoryError with no message
+        # a --seeds range too long to list raises a MemoryError with no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except DegenerateContract as exc:

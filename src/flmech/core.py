@@ -196,6 +196,7 @@ class SystemConfig:
 _CONFIG_FIELDS = {f.name: f for f in fields(SystemConfig)}
 # every int field but the seed, which the RNG masks to 64 bits
 _BOUNDED_INTS = [f.name for f in fields(SystemConfig) if f.type is int and f.name != "seed"]
+_PATTERNS = {kind.value: kind for kind in PatternKind}  # each attack_schedule name's pattern
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
@@ -293,16 +294,16 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     return cfg
 
 
-def attack_patterns(cfg: SystemConfig) -> list[PatternKind]:
-    """The malicious nodes' pattern for each round: index t holds round t's.
+def attack_patterns(cfg: SystemConfig) -> list[tuple[int, int, PatternKind]]:
+    """The malicious nodes' phase table: `(start, end, pattern)` triples, in
+    order, whose non-empty phases (start inclusive, end exclusive) partition
+    [0, rounds), so the table does not grow with the run length.
 
     Without an explicit `attack_schedule` the canonical four-phase adversary
     runs: false-high, zero, mixed, zero. For a 90-round run its boundaries
     are {eta_switch, 30, 60, 90}; other spans keep the first boundary at
-    eta_switch and scale the later two proportionally (a phase may be
-    empty). An explicit table must name known patterns, and its phases
-    (start inclusive, end exclusive) must partition [0, rounds). A
-    zero-round run never consults the schedule and gets an empty list.
+    eta_switch and scale the later two proportionally, leaving out an empty
+    phase. Both tables pass the same check, and a zero-round run gets none.
 
     Raises ScheduleError for an unknown pattern name, phases that do not
     partition the round span, or a default schedule with rounds < eta_switch.
@@ -310,28 +311,28 @@ def attack_patterns(cfg: SystemConfig) -> list[PatternKind]:
     rounds = cfg.rounds
     if rounds == 0:
         return []
-    if cfg.attack_schedule is None:
+    if (table := cfg.attack_schedule) is None:
         eta = cfg.eta_switch
         if rounds < eta:
             raise ScheduleError(f"rounds ({rounds}) must be >= eta_switch ({eta})")
         b2 = max(eta, round(rounds * 30 / 90))
         b3 = max(b2, round(rounds * 60 / 90))
-        return ([PatternKind.FALSE_HIGH] * eta + [PatternKind.ZERO] * (b2 - eta)
-                + [PatternKind.RANDOM_MIX] * (b3 - b2) + [PatternKind.ZERO] * (rounds - b3))
-    kinds = {kind.value: kind for kind in PatternKind}
-    patterns: list[PatternKind] = []
-    for start, end, name in cfg.attack_schedule:
-        if name not in kinds:
+        table = [(s, e, name) for s, e, name in zip((0, eta, b2, b3), (eta, b2, b3, rounds),
+                 ("false_high", "zero", "random_mix", "zero")) if s < e]
+    phases, covered = [], 0
+    for start, end, name in table:
+        if name not in _PATTERNS:
             raise ScheduleError(f"attack_schedule: unknown pattern '{name}'"
-                                f" (expected one of {', '.join(kinds)})")
-        if start != len(patterns) or not start < end <= rounds:
+                                f" (expected one of {', '.join(_PATTERNS)})")
+        if start != covered or not start < end <= rounds:
             raise ScheduleError(f"attack_schedule: phases must partition [0,{rounds});"
                                 f" bad phase [{start},{end})")
-        patterns += [kinds[name]] * (end - start)
-    if len(patterns) != rounds:
-        raise ScheduleError(f"attack_schedule: covers [0,{len(patterns)})"
+        phases.append((start, end, _PATTERNS[name]))
+        covered = end
+    if covered != rounds:
+        raise ScheduleError(f"attack_schedule: covers [0,{covered})"
                             f" but config has {rounds} rounds")
-    return patterns
+    return phases
 
 
 def _parse_value(name: str, raw: str):

@@ -10,6 +10,7 @@ leaves the pre-round state in place.
 """
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -40,14 +41,14 @@ class PublisherLedger:
 @dataclass
 class WorldState:
     """The whole simulation: config, population (`core.Population` columns,
-    node i at index i), attack schedule (round t's malicious pattern at index
-    t), RNG, round counter, publisher ledger, and the two tallies `summary()`
-    reads: the detected count of each finished round and each flagged node's
-    first detection round. `records` holds the per-round records only after
+    node i at index i), attack phase table (`core.attack_patterns`), RNG,
+    round counter, publisher ledger, and the two tallies `summary()` reads:
+    the detected count of each finished round and each flagged node's first
+    detection round. `records` holds the per-round records only after
     `run_simulation`; `run_round` and `iter_rounds` keep none."""
     cfg: SystemConfig
     nodes: Population
-    schedule: list[PatternKind]
+    schedule: list[tuple[int, int, PatternKind]]
     rng: RngStream
     t: int = 0
     ledger: PublisherLedger = field(default_factory=PublisherLedger)
@@ -112,7 +113,8 @@ def collect_contributions(state: WorldState) -> tuple[Population, np.ndarray, np
     and reported as timeout violations.
     """
     cfg, t, pop = state.cfg, state.t, state.nodes
-    c, tau = sample_contributions(state.schedule[t], pop.malicious, cfg,
+    _, _, attack = state.schedule[bisect_right(state.schedule, t, key=lambda phase: phase[1])]
+    c, tau = sample_contributions(attack, pop.malicious, cfg,
                                   state.rng.stream("contrib", t))
     timeouts: list[int] = []
     if cfg.t_max is not None:

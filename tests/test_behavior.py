@@ -21,12 +21,13 @@ FALSE_HIGH, ZERO, RANDOM_MIX = PatternKind.FALSE_HIGH, PatternKind.ZERO, Pattern
 
 
 def test_default_schedule_boundaries():
-    assert attack_patterns(CFG) == [FALSE_HIGH] * 5 + [ZERO] * 25 + [RANDOM_MIX] * 30 + [ZERO] * 30
+    assert attack_patterns(CFG) == [(0, 5, FALSE_HIGH), (5, 30, ZERO), (30, 60, RANDOM_MIX),
+                                    (60, 90, ZERO)]
 
 
 def test_default_schedule_degenerate_single_phase():
     cfg = dataclasses.replace(CFG, rounds=5, eta_switch=5)
-    assert attack_patterns(cfg) == [FALSE_HIGH] * 5
+    assert attack_patterns(cfg) == [(0, 5, FALSE_HIGH)]
 
 
 def test_default_schedule_too_few_rounds():
@@ -53,7 +54,7 @@ def test_schedule_partition_enforced():
 def test_schedule_from_config_override():
     cfg = dataclasses.replace(CFG, rounds=10,
                               attack_schedule=[(0, 4, "zero"), (4, 10, "random_mix")])
-    assert attack_patterns(cfg) == [ZERO] * 4 + [RANDOM_MIX] * 6
+    assert attack_patterns(cfg) == [(0, 4, ZERO), (4, 10, RANDOM_MIX)]
 
 
 def test_zero_pattern_always_zero():

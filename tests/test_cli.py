@@ -303,6 +303,17 @@ def test_contract_opt_json(capsys):
     assert "grid_gap" in doc["diagnostics"]
 
 
+def test_contract_opt_runs_on_a_config_of_2_pow_53_rounds(tmp_path, capsys):
+    # contract-opt does not read rounds, and the config's attack schedule is
+    # checked as its phase table, so a long run's config is as quick to solve
+    assert main(["contract-opt"]) == 0
+    default = capsys.readouterr().out
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(f"rounds = {2**53}\n")
+    assert main(["contract-opt", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_contract_opt_writes_only_when_an_out_dir_is_named(tmp_path, monkeypatch, capsys):
     # neither --out nor $FLMECH_OUT: the report is printed and nothing written
     monkeypatch.delenv("FLMECH_OUT", raising=False)
@@ -574,7 +585,22 @@ def test_verify_names_cell_that_does_not_parse(fast_config, tmp_path, capsys):
     rehash(out, "rounds.csv")
     assert main(["verify", "--out", str(out)]) == 1
     assert capsys.readouterr().err == ("error: corrupt file (line 2, column committee: 'nan'"
-                                       f" is not int): {out / 'rounds.csv'}\n")
+                                       f" is not 0 or 1): {out / 'rounds.csv'}\n")
+
+
+@pytest.mark.parametrize("column, cell", [("committee", "2"), ("detected", "-1")])
+def test_verify_rejects_a_flag_cell_other_than_0_or_1(fast_config, tmp_path, capsys, column,
+                                                       cell):
+    # an int other than 0 or 1 would pass every check as a member or a
+    # detection
+    out = tmp_path / "vf"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    edit_first_row(out / "rounds.csv", **{column: cell})
+    rehash(out, "rounds.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: corrupt file (line 2, column {column}: {cell!r}"
+                                       f" is not 0 or 1): {out / 'rounds.csv'}\n")
 
 
 def test_verify_names_cell_that_does_not_parse_in_a_later_round(fast_config, tmp_path, capsys):
@@ -780,11 +806,10 @@ def _manifest_case(text, name):
     _config_file_case("cooldown_period = 100000000000000000000"),
     _config_file_case("n_nodes = 1" + "0" * 400, label="n_nodes of 401 digits"),
     # too large to allocate: a numpy _ArrayMemoryError traceback from the
-    # population, or a bare MemoryError from the attack schedule's list, which
-    # every subcommand builds; each request fails before anything is allocated
+    # population, or a bare MemoryError from a --seeds range too long to list;
+    # each request fails before anything is allocated
     _config_file_case("n_nodes = 9007199254740992"),
-    _config_file_case("rounds = 9007199254740992"),
-    _config_file_case("rounds = 9007199254740992", "contract-opt"),
+    _sweep_case("--seeds", "0:1000000000000000"),
     _sweep_case("--grid", "initial_stake=1e308", "--seeds", "0"),
     _sweep_case("--grid", "committee_bonus=1e308", "--seeds", "0"),
     _sweep_case("--grid", "n_nodes=abc"),

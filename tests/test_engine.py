@@ -6,12 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flmech.core import RngStream, Role, SystemConfig
+from flmech.core import RngStream, Role, SystemConfig, validate_config
 from flmech.engine import iter_rounds, new_world, run_round, run_simulation
 
 FAST = dataclasses.replace(SystemConfig(), n_nodes=30, rounds=12,
@@ -309,6 +310,35 @@ def test_honest_contributions_independent_of_attack_schedule():
     for rec_a, rec_b in zip(a.records, b.records):
         for i in honest:
             assert rec_a.contributions[i] == rec_b.contributions[i]
+
+
+def test_each_round_follows_its_one_round_phase():
+    # one-round phases alternating zero and false_high put a phase boundary
+    # between every two rounds, so each round's lookup is checked
+    cfg = dataclasses.replace(
+        SystemConfig(), n_nodes=10, rounds=12, committee_size=3, malicious_percent=0.3,
+        attack_schedule=[(t, t + 1, ("zero", "false_high")[t % 2]) for t in range(12)])
+    state = run_simulation(cfg, seed=3)
+    malicious = [nd.id for nd in state.nodes if nd.role is Role.MALICIOUS]
+    assert len(malicious) == 3
+    for rec in state.records:
+        bad = rec.contributions[malicious]
+        assert np.all(bad > 0.0) if rec.round % 2 else np.all(bad == 0.0), rec.round
+
+
+def test_schedule_memory_does_not_grow_with_rounds():
+    # the attack schedule is held as its phase table, so a run of 2**53
+    # rounds validates and builds its world in the memory of a short one
+    cfg = dataclasses.replace(SystemConfig(), rounds=2**53)
+    tracemalloc.start()
+    try:
+        validate_config(cfg)
+        state = new_world(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(state.schedule) == 4
+    assert peak < 1 << 20, peak
 
 
 def test_mechanism_never_reads_role_tag():
