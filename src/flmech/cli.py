@@ -31,6 +31,7 @@ from .core import (
     _CONFIG_FIELDS, ConfigError, DomainError, Role, RoundRecord, SystemConfig, _parse_value,
     config_from_dict, config_to_dict, load_config, validate_config,
 )
+from .detection import deduct_stakes
 # `run_simulation` is not called here; it stays a name of this module because
 # bench/spans.py wraps `cli.run_simulation` by that name.
 from .engine import WorldState, iter_rounds, new_world, run_simulation  # noqa: F401
@@ -312,8 +313,8 @@ def cmd_verify(args) -> int:
     metrics_mismatch = summary_mismatch = ""
     # the run state after the whole rounds read so far, which summary.json reports
     world = new_world(cfg)
-    reputation, malicious, total_reward = (
-        world.nodes.reputation, world.nodes.malicious, world.nodes.total_reward)
+    reputation, malicious, total_reward, stake = (
+        world.nodes.reputation, world.nodes.malicious, world.nodes.total_reward, world.nodes.stake)
     # the last round each node sat on a committee (one no gap check can fail before the first)
     last_member = np.full(n, -1 - cfg.cooldown_period, dtype=np.int64)
     # row k of rounds.csv is round k // n_nodes, node k % n_nodes; of metrics.csv, round k
@@ -357,6 +358,8 @@ def cmd_verify(args) -> int:
                     t, jain_index(reward, cfg.epsilon), gini(reward), sum(detected_col), rep,
                     reward, roles == Role.HONEST.value, malicious)
                 total_reward = total_reward + reward
+                stake, stake_deducted = deduct_stakes(stake, detected, cfg.stake_penalty_factor)
+                world.ledger.stake_deductions += stake_deducted
                 world.tally_round(np.flatnonzero(detected).tolist())
         if in_order and finite_ok and rounds_rows == cfg.rounds * n:
             world.nodes = replace(world.nodes, reputation=reputation, malicious=malicious,
@@ -366,11 +369,9 @@ def cmd_verify(args) -> int:
                 recorded = json.loads((out_dir / "summary.json").read_text())
             except ValueError:
                 recorded = None
-            # rounds.csv has no stake or contract value column, so the publisher
-            # fields are not checked
             summary_mismatch = next((field for field, value in implied.items()
-                                     if not field.startswith("publisher_") and (not isinstance(
-                                         recorded, dict) or recorded.get(field) != value)), "")
+                                     if not isinstance(recorded, dict)
+                                     or recorded.get(field) != value), "")
         # any block size gives the same verdicts
         for block in _csv_blocks(out_dir / "metrics.csv", METRICS_COLUMNS, METRICS_TYPES, n):
             for row in map(list, zip(*block)):
@@ -383,7 +384,7 @@ def cmd_verify(args) -> int:
                     column = next(c for c, a, b in zip(METRICS_COLUMNS, row, implied) if a != b)
                     metrics_mismatch = f"round {row[0]}: {column}"
                 metrics_rows += 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -416,8 +417,18 @@ def cmd_verify(args) -> int:
     return 0 if all(ok for _, ok, _ in checks) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so that `main`
+    reports them as one `error:` line and exit 2, like any other bad input.
+    Its subparsers are of this class too (`add_subparsers` builds them with
+    the parser's own class)."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flmech",
         description="Reputation-based FL incentive mechanism simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -448,11 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, DomainError, FileNotFoundError, MemoryError) as exc:
+    except (ConfigError, DomainError, OSError, MemoryError) as exc:
         # a --seeds range too long to list raises a MemoryError with no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

@@ -206,19 +206,24 @@ def grid_oracle(cfg: SystemConfig, ctx: ContractContext,
     equals the argmax over the full (C, R) grid, ties going to the first
     point in row-major order. Returns (C, R, profit) at that point, or
     (C[0], R[0], -inf) when no grid point is feasible.
+
+    numpy's vector `exp` kernels differ in the last bit between CPUs, so
+    `np.exp` only ranks the grid, and the winning point is priced again
+    with `math.exp`, whose result is the same on every host.
     """
     cs = np.linspace(c_bounds[0], c_bounds[1], points_per_axis)
     rs = np.linspace(r_bounds[0], r_bounds[1], points_per_axis)
-    values = (cfg.contribution_bonus / ctx.tau_time) / (
-        1.0 + np.exp(-(cs - cfg.c_min) / (cfg.c_max - cfg.c_min)))
+    scale, span = cfg.contribution_bonus / ctx.tau_time, cfg.c_max - cfg.c_min
+    values = scale / (1.0 + np.exp(-(cs - cfg.c_min) / span))
     costs = 0.5 * cfg.gamma_c * cs ** 2
     slope = reward_slope(cfg, ctx)
     j = np.searchsorted(rs, costs)
     feasible = j < points_per_axis
     j = np.where(feasible, j, 0)        # an infeasible row reports R[0] with profit -inf
-    row_best = np.where(feasible, (values - slope * cs + costs) - rs[j], -np.inf)
-    i = int(np.argmax(row_best))
-    return float(cs[i]), float(rs[j[i]]), float(row_best[i])
+    i = int(np.argmax(np.where(feasible, (values - slope * cs + costs) - rs[j], -np.inf)))
+    c, r = float(cs[i]), float(rs[j[i]])
+    value = scale / (1.0 + math.exp(-(c - cfg.c_min) / span))
+    return c, r, ((value - slope * c) + float(costs[i])) - r if feasible[i] else -math.inf
 
 
 def solve_constrained(cfg: SystemConfig, ctx: Optional[ContractContext] = None,

@@ -183,7 +183,6 @@ class SystemConfig:
     normal_mu: float = 7.0                # honest contribution gaussian
     normal_sigma: float = 1.0
     random_mix_p_high: float = 0.6        # probability of a false-high draw in the mixed attack
-    contract_accounting: bool = False     # accumulate (V - R) margins in the publisher ledger
     attack_schedule: Optional[list[tuple[int, int, str]]] = None  # explicit phase table override
     seed: int = 42
 
@@ -251,14 +250,11 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
             problems.append(f"{name}: must lie in [0,1]")
     # Every exact sum a run takes must stay finite, with a factor 2 to spare
     # for rounding. A round pays at most `pay` in all; jain_ratio squares and
-    # sums the reputations and a round's rewards, the square sum times n; gini
-    # over the run's reward totals adds up to n times their sum; and a node's
-    # contract value is at most contribution_bonus / tau_low.
+    # sums the reputations and a round's rewards, the square sum times n; and
+    # gini over the run's reward totals adds up to n times their sum.
     n = cfg.n_nodes
     pay = cfg.reward_pool + cfg.committee_size * cfg.committee_bonus
     reputation_total = n * max(cfg.initial_reputation, cfg.r_max_early, cfg.r_max_late)
-    margin = (n * cfg.rounds * (cfg.contribution_bonus / cfg.tau_low + pay)
-              if cfg.contract_accounting and cfg.tau_low > 0 else 0.0)
     for names, bound in [
         ("n_nodes/initial_stake: the stake total", n * cfg.initial_stake),
         ("n_nodes/initial_reputation/r_max_early/r_max_late: the reputations' square sum",
@@ -267,8 +263,6 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
          n * pay * pay),
         ("n_nodes/rounds/reward_pool/committee_size/committee_bonus: the run's reward total",
          n * cfg.rounds * pay),
-        ("n_nodes/rounds/contribution_bonus/tau_low/reward_pool/committee_size/committee_bonus:"
-         " the contract margin", margin),
     ]:
         if not math.isfinite(2.0 * bound):
             problems.append(f"{names} must stay finite")
@@ -338,27 +332,21 @@ def attack_patterns(cfg: SystemConfig) -> list[tuple[int, int, PatternKind]]:
 def _parse_value(name: str, raw: str):
     """Parse a config value by the declared type of field `name`.
 
-    int and float fields take numbers, bool fields only `true`/`false`, and
-    Optional fields also `none`/`null`/empty; anything else is a ConfigError.
+    int and float fields take numbers, and Optional fields also
+    `none`/`null`/empty; anything else is a ConfigError.
     """
     raw = raw.strip()
-    word = raw.lower()
     kind = _CONFIG_FIELDS[name].type
     if type(None) in get_args(kind):  # Optional[X]
-        if word in ("none", "null", ""):
+        if raw.lower() in ("none", "null", ""):
             return None
         kind = get_args(kind)[0]
     if name == "attack_schedule":
         return _parse_schedule(raw)
-    if kind is bool:
-        if word in ("true", "false"):
-            return word == "true"
-    else:
-        try:
-            return kind(raw)
-        except ValueError:
-            pass
-    raise ConfigError(f"{name}: expected {kind.__name__}, got '{raw}'")
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{name}: expected {kind.__name__}, got '{raw}'") from None
 
 
 def _parse_schedule(raw: str) -> list[tuple[int, int, str]]:

@@ -103,9 +103,18 @@ def apply_penalties(pop: Population, report: DetectionReport, cfg: SystemConfig)
     lambda_s = cfg.stake_penalty_factor
     amounts = np.where(flagged, np.minimum(cfg.reputation_penalty_factor * pop.reputation
                                            + lambda_s * pop.stake, pop.reputation / 2.0), 0.0)
-    deductions = lambda_s * pop.stake[flagged]
-    stake = pop.stake.copy()
-    stake[flagged] = np.maximum(0.0, stake[flagged] - deductions)
+    stake, stake_deducted = deduct_stakes(pop.stake, flagged, lambda_s)
     return Penalties(reputation=np.where(flagged, np.maximum(0.0, pop.reputation - amounts),
                                          pop.reputation),
-                     stake=stake, amounts=amounts, stake_deducted=sequential_sum(deductions))
+                     stake=stake, amounts=amounts, stake_deducted=stake_deducted)
+
+
+def deduct_stakes(stake: np.ndarray, flagged: np.ndarray,
+                  lambda_s: float) -> tuple[np.ndarray, float]:
+    """Deduct a lambda_s share of each flagged node's stake, not below zero.
+    Returns the new stakes and the total deducted, added in node order."""
+    kept = stake[flagged]
+    deductions = lambda_s * kept
+    stake = stake.copy()
+    stake[flagged] = np.maximum(0.0, kept - deductions)
+    return stake, sequential_sum(deductions)

@@ -27,7 +27,7 @@ from .core import (
     PatternKind, Population, RngStream, RoundRecord, SystemConfig, attack_patterns,
     init_population, validate_config,
 )
-from .metrics import gini, jain_index, mean, sequential_sum
+from .metrics import gini, jain_index, mean
 from .reputation import qualities, stability, update_reputation, update_reputations  # noqa: F401
 
 
@@ -35,7 +35,6 @@ from .reputation import qualities, stability, update_reputation, update_reputati
 class PublisherLedger:
     """Running account of what the mechanism earns for the task publisher."""
     stake_deductions: float = 0.0
-    contract_margin: float = 0.0   # accumulated (V - R) terms, when enabled
 
 
 @dataclass
@@ -83,7 +82,6 @@ class WorldState:
             "cumulative_reward_gini": gini(pop.total_reward),
             "honest_reward_gini": gini(pop.total_reward[honest]),
             "publisher_stake_income": self.ledger.stake_deductions,
-            "publisher_contract_margin": self.ledger.contract_margin,
             "detected_per_round": list(self.detected_per_round),
             "first_detection_round": self.first_detection_round(),
         }
@@ -171,12 +169,7 @@ def _run_round_steps(state: WorldState) -> tuple[Population, PublisherLedger, Ro
     # (6) rewards on post-update reputations (no step reads the new cooldowns)
     rewards = reward_mod.allocate_rewards(pop, selection.members, cfg)
     pop = replace(pop, cooldown=cooldown, total_reward=pop.total_reward + rewards)
-    margin = ledger.contract_margin
-    if cfg.contract_accounting:
-        # contract.contribution_value of every node, added to the margin in node order
-        value = (cfg.contribution_bonus / completion_times) * q
-        margin = sequential_sum(value - rewards, margin)
-    ledger = PublisherLedger(ledger.stake_deductions + penalized.stake_deducted, margin)
+    ledger = PublisherLedger(ledger.stake_deductions + penalized.stake_deducted)
 
     # (7) fairness metrics over this round's rewards
     jain = jain_index(rewards, cfg.epsilon)

@@ -227,23 +227,23 @@ def test_sweep_grid(fast_config, tmp_path):
 
 
 def test_sweep_grid_values_parse_like_config_file(fast_config, tmp_path):
-    # grid tokens take the config file's typed parser: bools, none, and
-    # floats for float fields even when written as integers
+    # grid tokens take the config file's typed parser: ints for int fields,
+    # none, and floats for float fields even when written as integers
     out = tmp_path / "sweep_typed"
     rc = main(["sweep", "--config", str(fast_config),
-               "--grid", "contract_accounting=true,false",
+               "--grid", "committee_size=3,5",
                "--grid", "t_max=none,1.0",
                "--grid", "reward_pool=600",
                "--seeds", "0", "--out", str(out)])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["grid"] == {"contract_accounting": [True, False],
+    assert manifest["grid"] == {"committee_size": [3, 5],
                                 "reward_pool": [600.0], "t_max": [None, 1.0]}
     rows = read_rows(out / "sweep.csv")
-    assert rows[0][:3] == ["contract_accounting", "reward_pool", "t_max"]
+    assert rows[0][:3] == ["committee_size", "reward_pool", "t_max"]
     assert len(rows) == 1 + 4 * 12
     assert {tuple(r[:3]) for r in rows[1:]} == {
-        (acc, "600.0", t_max) for acc in ("True", "False") for t_max in ("", "1.0")}
+        (size, "600.0", t_max) for size in ("3", "5") for t_max in ("", "1.0")}
 
 
 def test_sweep_empty_grid_single_run(fast_config, tmp_path):
@@ -368,6 +368,15 @@ def test_verify_fresh_run_passes(fast_config, tmp_path, capsys):
     report = capsys.readouterr().out
     assert "PASS reward_conservation_per_round" in report
     assert "FAIL" not in report
+    # timeouts, a whole stake taken at a node's first flag, and no stake taken:
+    # verify replays the publisher's stake income of each
+    for extra in ["t_max = 0.8", "stake_penalty_factor = 1.0", "stake_penalty_factor = 0.0"]:
+        fast_config.write_text(FAST_CONFIG + extra + "\n")
+        out = tmp_path / extra
+        assert main(["simulate", "--config", str(fast_config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 def test_verify_detects_conservation_violation(fast_config, tmp_path, capsys):
@@ -727,7 +736,15 @@ SUMMARY_EDITS = {
     "malicious_mean_reputation": lambda s: _bump(s["malicious_mean_reputation"]),
     "cumulative_reward_gini": lambda s: s["cumulative_reward_gini"] / 2.0,
     "honest_reward_gini": lambda s: s["honest_reward_gini"] / 2.0,
+    "publisher_stake_income": lambda s: s["publisher_stake_income"] / 2.0,
 }
+
+
+def test_summary_edits_cover_every_summary_field(fast_config, tmp_path):
+    # so that no field of summary.json goes unchecked by verify
+    out = tmp_path / "vs"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    assert set(json.loads((out / "summary.json").read_text())) == set(SUMMARY_EDITS)
 
 
 @pytest.mark.parametrize("field", sorted(SUMMARY_EDITS))
@@ -778,9 +795,22 @@ def _manifest_case(text, name):
     return pytest.param(argv, id=name)
 
 
+def _path_case(*args, label):
+    """`args` with {file} naming a file that exists and {dir} a directory."""
+    def argv(tmp_path):
+        (tmp_path / "file").write_text("")
+        return [arg.format(file=tmp_path / "file", dir=tmp_path) for arg in args]
+    return pytest.param(argv, id=label)
+
+
+def _usage_case(*args):
+    return pytest.param(lambda tmp_path: list(args), id=" ".join(args) or "no subcommand")
+
+
 @pytest.mark.parametrize("make_argv", [
     *map(_config_file_case, [
         "t_max = abc", "seed = 1.5", "reward_pool = none", "reward_pool = nan",
+        # a key the config no longer has
         "contract_accounting = yes",
         # a bool read as an int would make a valid population of one here
         "committee_size = 1\nn_nodes = true",
@@ -799,9 +829,8 @@ def _manifest_case(text, name):
         "initial_reputation = 1e200\nr_max_early = 1e300\nr_max_late = 1e300",
         # beta = 1 - alpha goes negative above 1
         "stake_weight = 2", "stake_weight = 1e300",
-        # the publisher ledger took in more stake than the nodes lost, or its
-        # contract margin went to Infinity in summary.json
-        "stake_penalty_factor = 2", "contract_accounting = true\ncontribution_bonus = 1e306"]),
+        # the publisher ledger took in more stake than the nodes lost
+        "stake_penalty_factor = 2"]),
     # an int too large for a C long, or for a double, ended in a traceback
     _config_file_case("cooldown_period = 100000000000000000000"),
     _config_file_case("n_nodes = 1" + "0" * 400, label="n_nodes of 401 digits"),
@@ -827,6 +856,15 @@ def _manifest_case(text, name):
     _manifest_case(json.dumps({"files": {}}), "manifest without config"),
     _manifest_case(json.dumps({"config": {"attack_schedule": [[0, 90, "bogus"]]}, "files": {}}),
                    "manifest with pattern bogus"),
+    # a path of the wrong kind ended in an OSError traceback
+    _path_case("simulate", "--out", "{file}", label="simulate --out an existing file"),
+    _path_case("simulate", "--out", "{file}/o", label="simulate --out a path under a file"),
+    _path_case("verify", "--out", "{file}", label="verify --out a file"),
+    _path_case("simulate", "--config", "{dir}", "--out", "{dir}/o", label="--config a directory"),
+    # argparse printed its usage text as well as the error
+    _usage_case("simulate", "--seed", "x"),
+    _usage_case(),
+    _usage_case("sweep", "--seeds"),
 ])
 def test_bad_input_exits_2_with_one_error_line(make_argv, tmp_path, capsys):
     assert main(make_argv(tmp_path)) == 2

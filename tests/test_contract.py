@@ -186,11 +186,12 @@ def test_grid_oracle_exact_corner():
 
 def _grid_oracle_2d(cfg, ctx, c_bounds, r_bounds, points_per_axis=2001):
     """Reference for grid_oracle: the argmax over the full (C, R) profit
-    surface with the infeasible points masked to -inf."""
+    surface with the infeasible points masked to -inf, the winning point
+    priced again with `math.exp`."""
     cs = np.linspace(c_bounds[0], c_bounds[1], points_per_axis)
     rs = np.linspace(r_bounds[0], r_bounds[1], points_per_axis)
-    values = (cfg.contribution_bonus / ctx.tau_time) / (
-        1.0 + np.exp(-(cs - cfg.c_min) / (cfg.c_max - cfg.c_min)))
+    scale, span = cfg.contribution_bonus / ctx.tau_time, cfg.c_max - cfg.c_min
+    values = scale / (1.0 + np.exp(-(cs - cfg.c_min) / span))
     costs = 0.5 * cfg.gamma_c * cs ** 2
     slope = reward_slope(cfg, ctx)
     profit = (values - slope * cs + costs)[:, None] - rs[None, :]
@@ -198,7 +199,11 @@ def _grid_oracle_2d(cfg, ctx, c_bounds, r_bounds, points_per_axis=2001):
     profit = np.where(feasible, profit, -np.inf)
     flat = int(np.argmax(profit))
     i, j = divmod(flat, points_per_axis)
-    return float(cs[i]), float(rs[j]), float(profit[i, j])
+    if not feasible[i, j]:
+        return float(cs[i]), float(rs[j]), -math.inf
+    c, r = float(cs[i]), float(rs[j])
+    value = scale / (1.0 + math.exp(-(c - cfg.c_min) / span))
+    return c, r, ((value - slope * c) + float(costs[i])) - r
 
 
 @st.composite

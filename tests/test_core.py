@@ -127,16 +127,15 @@ def test_load_config_roundtrip(tmp_path):
         "malicious_percent = 0.2\n"
         "rounds = 12\n"
         "t_max = none\n"
-        "contract_accounting = true\n"
         "attack_schedule = 0:5:false_high, 5:12:zero\n")
     cfg = load_config(path)
     assert cfg.n_nodes == 20 and cfg.malicious_percent == 0.2 and cfg.rounds == 12
-    assert cfg.t_max is None and cfg.contract_accounting is True
+    assert cfg.t_max is None
     assert cfg.attack_schedule == [(0, 5, "false_high"), (5, 12, "zero")]
 
 
 def test_config_from_dict_inverts_config_to_dict():
-    cfg = dataclasses.replace(SystemConfig(), t_max=2.0, rounds=12, contract_accounting=True,
+    cfg = dataclasses.replace(SystemConfig(), t_max=2.0, rounds=12,
                               attack_schedule=[(0, 5, "false_high"), (5, 12, "zero")])
     for data in (config_to_dict(cfg), json.loads(json.dumps(config_to_dict(cfg)))):
         assert config_from_dict(data) == cfg

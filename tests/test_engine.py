@@ -254,22 +254,6 @@ def test_publisher_ledger_accumulates_stake_deductions():
     assert all(nd.stake < 100.0 for nd in malicious)
 
 
-def test_contract_accounting_invariant():
-    from flmech.contract import contribution_value
-    cfg = dataclasses.replace(FAST, contract_accounting=True)
-    result = run_simulation(cfg, seed=4)
-    expected_margin = 0.0
-    for rec in result.records:
-        for i in range(cfg.n_nodes):
-            v = contribution_value(rec.contributions[i], rec.completion_times[i],
-                                   cfg.contribution_bonus, cfg.c_min, cfg.c_max)
-            expected_margin += v - rec.rewards[i]
-    assert result.ledger.contract_margin == pytest.approx(expected_margin, rel=1e-9)
-    deductions = sum(sum(rec.penalties[i] > 0 for i in range(cfg.n_nodes))
-                     for rec in result.records)
-    assert (result.ledger.stake_deductions > 0.0) == (deductions > 0)
-
-
 def test_all_honest_population_rarely_flagged():
     # ~100 * 90 honest node-rounds: the false-positive rate stays under 2%
     cfg = dataclasses.replace(SystemConfig(), malicious_percent=0.0)

@@ -10,8 +10,13 @@ numpy 2.4.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from numpy._core import _multiarray_umath as umath
 
 from flmech.cli import main
 
@@ -22,7 +27,7 @@ GOLDEN = {
         {
             "rounds.csv": "3d869ada863279d5308a0c536a0ec81d349a258e0254258443fb7fb15201d339",
             "metrics.csv": "0eb8e82e26f8e3e821910b4d0ac844544d85ef3405e2323e77cb29187a14cb6b",
-            "summary.json": "180b2d5efe4639c0ec020319f98faca805050eecc93c1e502e6c4f39719539da",
+            "summary.json": "70476ea1ee20094b3c6e58c22c4f7168b71481df9d00e4be20fbce38ffe04e30",
         },
     ),
     # `flmech simulate --seed 0` on the built-in default config (n=100, T=90)
@@ -31,7 +36,7 @@ GOLDEN = {
         {
             "rounds.csv": "1c4c76a773f69c5336f888d0fa3c06b37e7942459c5ec9c57d0c6d25b0ddf0ca",
             "metrics.csv": "6c4a66cd3ce87e6a15901ddbede5aea004596ba7ee51c58ff5ac09311c53f926",
-            "summary.json": "d98ccfed2045b5332cf7b0058e0b422135a9d6ba35a2764dde3ec398a355f3e2",
+            "summary.json": "846b2ad52464a6857f6f1af82a181f6f2f7f1cc0d28dd44b0f8b1b5c80e838bc",
         },
     ),
     # the wide_population width: n=2000, T=8, other fields at defaults
@@ -40,7 +45,7 @@ GOLDEN = {
         {
             "rounds.csv": "99a472f1785c0ed7c0e45ef462392d612113d6f02e08edf8e80a70d53320a385",
             "metrics.csv": "b40400213afa3212800c13a1c3922e55ca980fbfa4eaa6a5c27006d370e2af29",
-            "summary.json": "58cd7b022419d38effdf204cb69d34470bb83ecdfd81b71914f299f826dea791",
+            "summary.json": "d04f012acbade23a894fb6dbc6405909b758e413a1ab187f9cb9fc0af6653fc4",
         },
     ),
 }
@@ -88,7 +93,7 @@ CONTRACT_GOLDEN = {
     # interior optimum, where the grid oracle's answer lies inside the grid
     "reward_pool_1800": (
         "reward_pool = 1800\n",
-        "be588a75ef12b0b1cd7f48d075547e0a3f87e5566b947e841b880e07e6ea2ca1",
+        "96c02560bfe4c688111148190fc43e03035fdf0d9e262762b2bba4f543fecbf6",
     ),
 }
 
@@ -101,3 +106,31 @@ def test_contract_opt_output_matches_golden_hash(name, tmp_path):
     out = tmp_path / "out"
     assert main(["contract-opt", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "contract.json").read_bytes()).hexdigest() == expected
+
+
+# numpy's dispatch levels this host has, lowest first: numpy picks each
+# vector kernel for the highest level that is enabled
+HOST_LEVELS = [level for level in umath.__cpu_dispatch__ if umath.__cpu_features__.get(level)]
+KERNEL_GOLDENS = ["test_simulate_output_matches_golden_hashes[criterion9]",
+                  "test_simulate_output_matches_golden_hashes[default_seed0]",
+                  *(f"test_contract_opt_output_matches_golden_hash[{name}]"
+                    for name in sorted(CONTRACT_GOLDEN))]
+
+
+@pytest.mark.skipif(not HOST_LEVELS, reason="numpy has no dispatch level on this host")
+@pytest.mark.parametrize("level", HOST_LEVELS)
+def test_goldens_hold_with_each_numpy_dispatch_level_disabled(level):
+    # the hashes were pinned on one CPU and must hold on any other: with this
+    # level and every level above it disabled, numpy runs the kernels of the
+    # level below, as on a host without this level
+    disabled = HOST_LEVELS[HOST_LEVELS.index(level):]
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    # these tests draw no Hypothesis examples, and its plugin takes 1.4 s to load
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-p", "no:hypothesispytest",
+                           *(f"{__file__}::{test}" for test in KERNEL_GOLDENS)],
+                          capture_output=True, text=True, env=env, cwd=root, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:]
