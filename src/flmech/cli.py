@@ -48,6 +48,8 @@ METRICS_COLUMNS = ["round", "jain", "gini", "detected_count", "honest_mean_rep",
 _flag = ("0", "1").index
 ROUNDS_TYPES = [int, int, str] + [float] * 6 + [_flag, _flag]
 METRICS_TYPES = [int, float, float, int] + [float] * 4
+# the files a simulate run writes and its manifest hashes
+RUN_FILES = ["rounds.csv", "metrics.csv", "summary.json"]
 
 
 def _sha256(path: Path) -> str:
@@ -146,8 +148,7 @@ def cmd_simulate(args) -> int:
                                               rec.rewards, ~malicious, malicious))
     (out_dir / "summary.json").write_text(
         json.dumps(_summary_doc(state), indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "simulate", state.cfg, args.config, [state.cfg.seed],
-                    ["rounds.csv", "metrics.csv", "summary.json"],
+    _write_manifest(out_dir, "simulate", state.cfg, args.config, [state.cfg.seed], RUN_FILES,
                     extra={"columns": {"rounds.csv": ROUNDS_COLUMNS,
                                        "metrics.csv": METRICS_COLUMNS}})
     print(f"simulate: wrote rounds.csv, metrics.csv, summary.json, manifest.json to {out_dir}")
@@ -230,9 +231,10 @@ def cmd_contract_opt(args) -> int:
     closed = optimal_contract_closed_form(cfg)
     doc = {**asdict(solution), "closed_form": asdict(closed)}
     text = json.dumps(doc, indent=2, sort_keys=True)
+    # a bad --out fails before the report is printed
+    out_dir = _resolve_out(args) if args.out or os.environ.get("FLMECH_OUT") else None
     print(text)
-    if args.out or os.environ.get("FLMECH_OUT"):
-        out_dir = _resolve_out(args)
+    if out_dir:
         (out_dir / "contract.json").write_text(text + "\n")
         _write_manifest(out_dir, "contract-opt", cfg, args.config, [cfg.seed], ["contract.json"])
     return 0
@@ -320,7 +322,11 @@ def cmd_verify(args) -> int:
     # row k of rounds.csv is round k // n_nodes, node k % n_nodes; of metrics.csv, round k
     rounds_rows = metrics_rows = 0
     try:
-        bad = [name for name, digest in digests.items() if _sha256(out_dir / name) != digest]
+        # the manifest must hash exactly the run's files; no other name is read
+        bad = [f"{name} {'not hashed' if name in RUN_FILES else 'not a run file'}"
+               for name in sorted(set(digests) ^ set(RUN_FILES))]
+        bad += [name for name in RUN_FILES
+                if name in digests and _sha256(out_dir / name) != digests[name]]
         for block in _csv_blocks(out_dir / "rounds.csv", ROUNDS_COLUMNS, ROUNDS_TYPES, n):
             t_col, node_col, roles, *floats, committee_col, detected_col = block
             contribution, _, q, rep, penalty, reward = floats = np.stack(floats)

@@ -109,23 +109,6 @@ class Population(Sequence):
                     contribution_history=self.history[:, i].tolist(),
                     role=Role.MALICIOUS if self.malicious[i] else Role.HONEST)
 
-    @classmethod
-    def from_nodes(cls, nodes: Sequence[Node]) -> "Population":
-        """The columns of `nodes`, given in id order. Every node must hold a
-        history of the same length."""
-        lengths = {len(nd.contribution_history) for nd in nodes}
-        if len(lengths) > 1:
-            raise ValueError(f"histories differ in length: {sorted(lengths)}")
-        k = lengths.pop() if lengths else 0
-        return cls(stake=np.array([nd.stake for nd in nodes], dtype=float),
-                   reputation=np.array([nd.reputation for nd in nodes], dtype=float),
-                   total_reward=np.array([nd.total_reward for nd in nodes], dtype=float),
-                   participation=np.array([nd.participation for nd in nodes], dtype=np.int64),
-                   cooldown=np.array([nd.cooldown for nd in nodes], dtype=np.int64),
-                   history=np.array([nd.contribution_history for nd in nodes],
-                                    dtype=float).reshape(len(nodes), k).T.copy(),
-                   malicious=np.array([nd.role is Role.MALICIOUS for nd in nodes], dtype=bool))
-
 
 @dataclass
 class SystemConfig:

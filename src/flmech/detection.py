@@ -82,11 +82,6 @@ def detect(pop: Population, cfg: SystemConfig) -> DetectionReport:
     return DetectionReport(cond1, cond2, cond3)
 
 
-def penalty(reputation: float, stake: float, lambda_r: float, lambda_s: float) -> float:
-    """Penalty amount, capped at half the reputation to avoid over-punishment."""
-    return min(lambda_r * reputation + lambda_s * stake, reputation / 2.0)
-
-
 class Penalties(NamedTuple):
     """Every node's state after the round's penalties, in node order."""
     reputation: np.ndarray
@@ -96,9 +91,11 @@ class Penalties(NamedTuple):
 
 
 def apply_penalties(pop: Population, report: DetectionReport, cfg: SystemConfig) -> Penalties:
-    """Deduct reputation (`penalty`) and a stake_penalty_factor share of the
-    stake from every flagged node; the other nodes keep theirs. Neither
-    falls below zero. The stake total is added in node order."""
+    """Deduct reputation and a stake_penalty_factor share of the stake from
+    every flagged node; the other nodes keep theirs. A node's penalty is
+    lambda_r * reputation + lambda_s * stake, capped at half its reputation
+    to avoid over-punishment. Neither falls below zero. The stake total is
+    added in node order."""
     flagged = report.flagged
     lambda_s = cfg.stake_penalty_factor
     amounts = np.where(flagged, np.minimum(cfg.reputation_penalty_factor * pop.reputation

@@ -21,22 +21,11 @@ def effective_stake(stake, mean_stake: float):
     return np.minimum(stake, 3.0 * mean_stake)
 
 
-def historical_contribution(history: list[float], zeta: float, tau: int) -> float:
-    """Exponentially decayed sum of the last tau+1 contributions, newest first.
-
-    `history` is ordered oldest to newest; entry weights are zeta^age with
-    age 0 for the most recent entry. Missing entries contribute nothing.
-    """
-    total = 0.0
-    for age, c in enumerate(reversed(history[-(tau + 1):])):
-        total += c * zeta ** age
-    return total
-
-
-def historical_contributions(history: np.ndarray, zeta: float, tau: int) -> np.ndarray:
-    """`historical_contribution` of every node from the (k, n) history: one
-    vector add per round, newest first, so each sum is added in the same
-    order as the scalar form's."""
+def decayed_contributions(history: np.ndarray, zeta: float, tau: int) -> np.ndarray:
+    """Every node's exponentially decayed sum of its last tau+1
+    contributions, from the (k, n) history, oldest row first: the row of
+    age a (0 for the newest) weighs zeta^a, and missing rows count nothing.
+    One vector add per round, newest first."""
     total = np.zeros(history.shape[1])
     for age, row in enumerate(history[::-1][:tau + 1]):
         total += row * zeta ** age
@@ -80,7 +69,7 @@ def allocate_rewards(pop: Population, committee: list[int], cfg: SystemConfig) -
     total_stake = math.fsum(pop.stake.tolist())
     mean_stake = total_stake / n
 
-    hist_values = historical_contributions(pop.history, cfg.history_decay, cfg.window)
+    hist_values = decayed_contributions(pop.history, cfg.history_decay, cfg.window)
     c_total = math.fsum(hist_values.tolist())
 
     members = np.zeros(n, dtype=bool)

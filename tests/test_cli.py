@@ -448,6 +448,31 @@ def test_verify_detects_hash_mismatch(fast_config, tmp_path, capsys):
     assert "FAIL file_hashes_match_manifest" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit, detail", [
+    (lambda files, outside: files.clear(),
+     "metrics.csv not hashed, rounds.csv not hashed, summary.json not hashed"),
+    (lambda files, outside: files.pop("summary.json"), "summary.json not hashed"),
+    # a file outside the run directory with its true hash, and no file at
+    # all: neither is read
+    (lambda files, outside: files.update({
+        "../x": hashlib.sha256(outside.read_bytes()).hexdigest(), "absent": "0" * 64}),
+     "../x not a run file, absent not a run file"),
+], ids=["no files", "summary.json not hashed", "names outside the run"])
+def test_verify_manifest_hashes_exactly_the_run_files(fast_config, tmp_path, capsys, edit,
+                                                      detail):
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    (tmp_path / "x").write_text("outside the run\n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    edit(manifest["files"], tmp_path / "x")
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert [line for line in report if line.startswith("FAIL")] == [
+        f"FAIL file_hashes_match_manifest ({detail})"]
+
+
 def test_verify_truncated_csv_reports_corrupt(fast_config, tmp_path, capsys):
     out = tmp_path / "vt"
     main(["simulate", "--config", str(fast_config), "--out", str(out)])
@@ -860,6 +885,8 @@ def _usage_case(*args):
     _path_case("simulate", "--out", "{file}", label="simulate --out an existing file"),
     _path_case("simulate", "--out", "{file}/o", label="simulate --out a path under a file"),
     _path_case("verify", "--out", "{file}", label="verify --out a file"),
+    # contract-opt printed its whole report before it failed
+    _path_case("contract-opt", "--out", "{file}", label="contract-opt --out an existing file"),
     _path_case("simulate", "--config", "{dir}", "--out", "{dir}/o", label="--config a directory"),
     # argparse printed its usage text as well as the error
     _usage_case("simulate", "--seed", "x"),
@@ -867,8 +894,12 @@ def _usage_case(*args):
     _usage_case("sweep", "--seeds"),
 ])
 def test_bad_input_exits_2_with_one_error_line(make_argv, tmp_path, capsys):
-    assert main(make_argv(tmp_path)) == 2
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # nothing is printed to stdout either
+    assert captured.out == ""
     # nothing is written for a rejected input
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())

@@ -17,7 +17,8 @@ from flmech.committee import (
     SampleError, select_committee, stratum_quota, update_cooldowns,
     weighted_sample_without_replacement,
 )
-from flmech.core import Node, Population, SystemConfig
+from flmech.core import Node, SystemConfig
+from oracles import population_from_nodes
 
 
 def make_node(i, reputation=100.0, cooldown=0):
@@ -185,7 +186,7 @@ def test_select_committee_visits_strata_as_a_loop_over_all_of_them():
             cooldown = draw.integers(0, 3, n)
             cfg = dataclasses.replace(SystemConfig(), n_nodes=n, committee_size=committee_size,
                                       strata=strata)
-            pop = Population.from_nodes([make_node(i, reputation[i], cooldown[i])
+            pop = population_from_nodes([make_node(i, reputation[i], cooldown[i])
                                          for i in range(n)])
             assert (select_committee(pop, cfg, np.random.default_rng(n)).members
                     == _all_strata_committee(reputation, cooldown, cfg, np.random.default_rng(n)))
@@ -197,7 +198,7 @@ def test_select_committee_with_more_strata_than_a_loop_could_visit():
     cfg = dataclasses.replace(SystemConfig(), n_nodes=30)
     reputation = np.linspace(10.0, 300.0, 30)
     cooldown = np.arange(30) % 4
-    pop = Population.from_nodes([make_node(i, reputation[i], cooldown[i]) for i in range(30)])
+    pop = population_from_nodes([make_node(i, reputation[i], cooldown[i]) for i in range(30)])
     sel = select_committee(pop, dataclasses.replace(cfg, strata=2**53), np.random.default_rng(4))
     assert sel.members == _all_strata_committee(
         reputation, cooldown, dataclasses.replace(cfg, strata=30), np.random.default_rng(4))
@@ -205,7 +206,7 @@ def test_select_committee_with_more_strata_than_a_loop_could_visit():
 
 def test_update_cooldowns():
     cfg = SystemConfig()
-    pop = Population.from_nodes([make_node(0, cooldown=0), make_node(1, cooldown=0),
+    pop = population_from_nodes([make_node(0, cooldown=0), make_node(1, cooldown=0),
                                  make_node(2, cooldown=2)])
     cooldown = update_cooldowns(pop, [0], cfg)
     assert cooldown[0] == 3  # selected
@@ -215,7 +216,7 @@ def test_update_cooldowns():
 
 def test_no_consecutive_membership_over_many_rounds():
     cfg = dataclasses.replace(SystemConfig(), n_nodes=30)
-    pop = Population.from_nodes([make_node(i, reputation=100.0 + i) for i in range(30)])
+    pop = population_from_nodes([make_node(i, reputation=100.0 + i) for i in range(30)])
     rng = np.random.default_rng(0)
     previous: set[int] = set()
     for t in range(200):
@@ -227,7 +228,7 @@ def test_no_consecutive_membership_over_many_rounds():
 
 def test_ineligible_for_exactly_three_rounds():
     cfg = dataclasses.replace(SystemConfig(), n_nodes=6, committee_size=1)
-    pop = Population.from_nodes([make_node(i) for i in range(6)])
+    pop = population_from_nodes([make_node(i) for i in range(6)])
     pop = dataclasses.replace(pop, cooldown=update_cooldowns(pop, [0], cfg))
     history = []
     for _ in range(3):

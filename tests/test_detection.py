@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 
-from flmech.core import Node, Population, Role, SystemConfig
-from flmech.detection import DetectionReport, apply_penalties, detect, penalty
+from flmech.core import Node, Role, SystemConfig
+from flmech.detection import DetectionReport, apply_penalties, detect
+from oracles import penalty, population_from_nodes
 
 CFG = SystemConfig()
 
@@ -38,7 +39,7 @@ def test_penalty_reference_values():
 
 def test_fresh_nodes_never_flagged():
     nodes = [node_with_history(i, [0.0]) for i in range(10)]
-    report = detect(Population.from_nodes(nodes), CFG)
+    report = detect(population_from_nodes(nodes), CFG)
     assert report.detected == []
 
 
@@ -48,7 +49,7 @@ def test_jump_fires_on_attack_switch():
     nodes = steady_population(n=17)
     attacker = node_with_history(17, [9.5, 9.4, 9.6, 9.5, 9.5, 0.0], role=Role.MALICIOUS)
     nodes.append(attacker)
-    report = detect(Population.from_nodes(nodes), CFG)
+    report = detect(population_from_nodes(nodes), CFG)
     assert 17 in report.detected
     assert report.cond3[17]
 
@@ -59,7 +60,7 @@ def test_steady_zero_contributor_detected_persistently():
     nodes = steady_population(n=17)
     attacker = node_with_history(17, [9.5, 0, 0, 0, 0, 0], role=Role.MALICIOUS)
     nodes.append(attacker)
-    report = detect(Population.from_nodes(nodes), CFG)
+    report = detect(population_from_nodes(nodes), CFG)
     assert 17 in report.detected
     assert report.cond1[17] and report.cond2[17]
     assert not report.cond3[17]  # no jump: window already near zero
@@ -70,7 +71,7 @@ def test_node_at_population_median_untouched():
     nodes = steady_population(n=19, rng=rng)
     calm = node_with_history(19, [7.0] * 6)
     nodes.append(calm)
-    report = detect(Population.from_nodes(nodes), CFG)
+    report = detect(population_from_nodes(nodes), CFG)
     assert 19 not in report.detected
     assert not report.cond1[19] and not report.cond2[19] and not report.cond3[19]
 
@@ -81,7 +82,7 @@ def test_detection_blind_to_role_tag():
         nodes = steady_population(n=10)
         extra = node_with_history(10, [9.5, 9.5, 9.5, 9.5, 9.5, 0.0], role=role_for_last)
         nodes.append(extra)
-        return Population.from_nodes(nodes)
+        return population_from_nodes(nodes)
 
     r_honest = detect(build(Role.HONEST), CFG)
     r_malicious = detect(build(Role.MALICIOUS), CFG)
@@ -97,7 +98,7 @@ def test_honest_false_positive_rate_below_two_percent():
     flagged = total = 0
     for _ in range(50):
         nodes = steady_population(n=20, rounds=10, rng=rng)
-        report = detect(Population.from_nodes(nodes), CFG)
+        report = detect(population_from_nodes(nodes), CFG)
         flagged += len(report.detected)
         total += len(nodes)
     assert total >= 1000
@@ -105,7 +106,7 @@ def test_honest_false_positive_rate_below_two_percent():
 
 
 def test_apply_penalties_updates_state_and_ledger():
-    pop = Population.from_nodes([node_with_history(0, [9.5, 0.0], reputation=300.0, stake=100.0)])
+    pop = population_from_nodes([node_with_history(0, [9.5, 0.0], reputation=300.0, stake=100.0)])
     out = apply_penalties(pop, flagged(True), CFG)
     assert out.reputation[0] == 200.0            # 300 - min(90+10, 150)
     assert abs(out.stake[0] - 90.0) < 1e-12      # 10% stake slash
@@ -114,7 +115,7 @@ def test_apply_penalties_updates_state_and_ledger():
 
 
 def test_apply_penalties_empty_report_noop():
-    pop = Population.from_nodes([node_with_history(0, [5.0], reputation=120.0)])
+    pop = population_from_nodes([node_with_history(0, [5.0], reputation=120.0)])
     out = apply_penalties(pop, flagged(False), CFG)
     assert out.stake_deducted == 0.0
     assert out.reputation[0] == 120.0 and out.stake[0] == 100.0
@@ -122,7 +123,7 @@ def test_apply_penalties_empty_report_noop():
 
 
 def test_penalties_never_go_negative():
-    pop = Population.from_nodes([node_with_history(0, [1.0, 0.0], reputation=10.0, stake=0.0)])
+    pop = population_from_nodes([node_with_history(0, [1.0, 0.0], reputation=10.0, stake=0.0)])
     out = apply_penalties(pop, flagged(True), CFG)
     assert out.reputation[0] == 7.0              # 10 - min(3, 5)
     assert out.stake[0] == 0.0

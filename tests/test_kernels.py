@@ -1,9 +1,11 @@
 """The column kernels against the scalar functions they vectorise.
 
 Each round layer computes every node at once from a `Population`'s columns.
-The scalar functions stay as the definition of each quantity, and here they
-are the oracles: every kernel is run over Hypothesis-drawn populations and
-histories and compared node by node with the scalar computation.
+The scalar functions (in `flmech` where the library still names them, in
+`oracles.py` otherwise) define each quantity, and here they are the oracles:
+every kernel is run over Hypothesis-drawn populations and histories and
+compared node by node with the scalar computation. `test_oracles.py` checks
+how the engine wires the kernels into a round.
 
 - quality, historical contribution, penalty, cooldowns and reward
   allocation use element-for-element the same IEEE arithmetic, so they must
@@ -17,7 +19,6 @@ histories and compared node by node with the scalar computation.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -26,18 +27,17 @@ from hypothesis.extra import numpy as hnp
 
 from flmech.committee import update_cooldowns
 from flmech.core import Population, SystemConfig
-from flmech.detection import DetectionReport, apply_penalties, detect, penalty
-from flmech.metrics import jain_index, mean, pstd
+from flmech.detection import DetectionReport, apply_penalties, detect
 from flmech.reputation import (
     qualities, quality, stabilities, stability, update_reputation, update_reputations,
 )
-from flmech.reward import (
-    allocate_rewards, alpha_weight, committee_bonus, effective_stake, historical_contribution,
-    historical_contributions,
+from flmech.reward import allocate_rewards, decayed_contributions
+from oracles import (
+    BAND, historical_contribution, in_band, penalty, population_from_nodes, scalar_conditions,
+    scalar_rewards,
 )
 
 CFG = SystemConfig()
-BAND = 1e-12
 
 contribution = st.floats(min_value=CFG.c_min, max_value=CFG.c_max)
 
@@ -84,7 +84,7 @@ def test_qualities_equal_quality(c, c_min, span):
 @given(populations(), st.floats(min_value=0.01, max_value=0.99))
 def test_historical_contributions_equal_scalar(pop, zeta):
     expected = [historical_contribution(h, zeta, CFG.window) for h in histories(pop)]
-    assert historical_contributions(pop.history, zeta, CFG.window).tolist() == expected
+    assert decayed_contributions(pop.history, zeta, CFG.window).tolist() == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,33 +117,6 @@ def test_update_cooldowns_equals_scalar(data, pop):
     assert update_cooldowns(pop, members, CFG).tolist() == expected
 
 
-def scalar_rewards(pop, committee, cfg):
-    """Reward allocation node by node, from the scalar functions."""
-    nodes = list(pop)
-    reputations = [nd.reputation for nd in nodes]
-    fairness = jain_index(reputations, cfg.epsilon)
-    alpha = alpha_weight(mean(reputations), cfg.initial_reputation, cfg.f_scale,
-                         cfg.stake_weight)
-    total_stake = math.fsum(nd.stake for nd in nodes)
-    mean_stake = total_stake / len(nodes)
-    hist = [historical_contribution(nd.contribution_history, cfg.history_decay, cfg.window)
-            for nd in nodes]
-    c_total = math.fsum(hist)
-    bonus = committee_bonus([nd.reputation for nd in nodes if nd.id in committee],
-                            cfg.committee_bonus, cfg.epsilon)
-    out = []
-    for nd, h in zip(nodes, hist):
-        stake_share = effective_stake(nd.stake, mean_stake) / total_stake if total_stake > 0 else 0.0
-        contrib_share = h / c_total if c_total > 0 else 0.0
-        total = ((alpha * cfg.reward_pool * stake_share
-                  + (1.0 - alpha) * cfg.reward_pool * contrib_share) * fairness
-                 + (bonus if nd.id in committee else 0.0))
-        if not nd.contribution_history or nd.contribution_history[-1] == 0.0:
-            total = 0.0
-        out.append(float(total))
-    return out
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data(), populations())
 def test_allocate_rewards_equals_scalar(data, pop):
@@ -169,27 +142,6 @@ def test_update_reputations_match_scalar(pop, data, t):
     assert update_reputations(pop, q, CFG, t).tolist() == pytest.approx(expected, rel=BAND)
 
 
-def scalar_conditions(pop, cfg):
-    """Per node, (lhs, threshold, holds) of each condition, as the scalar
-    detector computes them with `metrics.mean` and `metrics.pstd`."""
-    tau = cfg.window
-    windows = [h[-tau:] for h in histories(pop)]
-    pooled = sorted(c for w in windows for c in w)
-    mid = len(pooled) // 2
-    median = pooled[mid] if len(pooled) % 2 else 0.5 * (pooled[mid - 1] + pooled[mid])
-    this_round = [w[-1] for w in windows]
-    round_mean, round_std = mean(this_round), pstd(this_round)
-    out = []
-    for h, own in zip(histories(pop), windows):
-        c_now, prev = own[-1], h[-(tau + 1):-1]
-        lhs1, thr1 = mean(own), cfg.theta_low * median
-        lhs2, thr2 = abs(c_now - round_mean), cfg.theta_fluct * round_std
-        lhs3, thr3 = abs(c_now - mean(prev)), cfg.theta_jump * max(pstd(prev), cfg.eps_std)
-        out.append(((lhs1, thr1, lhs1 < thr1), (lhs2, thr2, lhs2 > thr2),
-                    (lhs3, thr3, lhs3 > thr3)))
-    return out
-
-
 @settings(max_examples=200, deadline=None)
 @given(populations(min_rounds=2))
 def test_detect_conditions_match_scalar_outside_the_band(pop):
@@ -197,7 +149,7 @@ def test_detect_conditions_match_scalar_outside_the_band(pop):
     columns = (report.cond1, report.cond2, report.cond3)
     for i, conditions in enumerate(scalar_conditions(pop, CFG)):
         for cond, (lhs, threshold, holds) in zip(columns, conditions):
-            if abs(lhs - threshold) > BAND * abs(threshold):
+            if not in_band(lhs, threshold):
                 assert cond[i] == holds, (i, lhs, threshold)
     assert report.detected == np.flatnonzero((report.cond1 & report.cond2) | report.cond3).tolist()
 
@@ -213,7 +165,7 @@ def test_detect_flags_nothing_under_two_rounds(pop):
 @settings(max_examples=50, deadline=None)
 @given(populations())
 def test_population_round_trips_through_nodes(pop):
-    back = Population.from_nodes(list(pop))
+    back = population_from_nodes(list(pop))
     for f in dataclasses.fields(Population):
         assert np.array_equal(getattr(back, f.name), getattr(pop, f.name))
     assert [nd.id for nd in pop] == list(range(len(pop)))

@@ -6,12 +6,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flmech.core import DomainError, Node, Population, SystemConfig, sigmoid
+from flmech.core import DomainError, Node, SystemConfig, sigmoid
 from flmech.metrics import jain_index
-from flmech.reward import (
-    alpha_weight, allocate_rewards, committee_bonus, effective_stake,
-    historical_contribution,
-)
+from flmech.reward import alpha_weight, allocate_rewards, committee_bonus, effective_stake
+from oracles import historical_contribution, population_from_nodes
 
 CFG = SystemConfig()
 
@@ -71,7 +69,7 @@ def test_committee_bonus_empty():
 
 def test_single_node_collapses_to_pool_times_fairness():
     cfg = dataclasses.replace(CFG, n_nodes=1, committee_size=1)
-    pop = Population.from_nodes([node_with_history(0, [5.0, 5.0, 5.0], reputation=200.0)])
+    pop = population_from_nodes([node_with_history(0, [5.0, 5.0, 5.0], reputation=200.0)])
     out = allocate_rewards(pop, [0], cfg)[0]
     expected_fairness = jain_index([200.0], cfg.epsilon)
     expected = cfg.reward_pool * expected_fairness + committee_bonus(
@@ -82,7 +80,7 @@ def test_single_node_collapses_to_pool_times_fairness():
 
 def test_zero_contribution_override_beats_committee_bonus():
     nodes = [node_with_history(0, [5.0, 0.0]), node_with_history(1, [5.0, 5.0])]
-    out = allocate_rewards(Population.from_nodes(nodes), [0], CFG)
+    out = allocate_rewards(population_from_nodes(nodes), [0], CFG)
     assert out[0] == 0.0            # zero contributor earns nothing, even selected
     assert out[1] > 0.0
 
@@ -90,13 +88,13 @@ def test_zero_contribution_override_beats_committee_bonus():
 def test_empty_history_override():
     # histories all have one length, so an empty one means no round yet
     nodes = [node_with_history(0, []), node_with_history(1, [])]
-    out = allocate_rewards(Population.from_nodes(nodes), [], CFG)
+    out = allocate_rewards(population_from_nodes(nodes), [], CFG)
     assert out[0] == 0.0
 
 
 def test_symmetric_population_equal_rewards():
     nodes = [node_with_history(i, [4.0, 4.0]) for i in range(10)]
-    out = allocate_rewards(Population.from_nodes(nodes), [], CFG)
+    out = allocate_rewards(population_from_nodes(nodes), [], CFG)
     first = out[0]
     assert first > 0.0
     assert all(abs(r - first) < 1e-9 for r in out)
@@ -110,12 +108,12 @@ def test_permutation_symmetry():
     stakes = [50.0, 100.0, 400.0]
 
     nodes = [node_with_history(i, histories[i], stake=stakes[i]) for i in range(3)]
-    base = allocate_rewards(Population.from_nodes(nodes), [2], CFG)
+    base = allocate_rewards(population_from_nodes(nodes), [2], CFG)
 
     perm = [2, 0, 1]  # new id of original node i
     nodes2 = [node_with_history(perm[i], histories[i], stake=stakes[i]) for i in range(3)]
     nodes2.sort(key=lambda nd: nd.id)
-    permuted = allocate_rewards(Population.from_nodes(nodes2), [perm[2]], CFG)  # indexed by id after the sort
+    permuted = allocate_rewards(population_from_nodes(nodes2), [perm[2]], CFG)  # indexed by id after the sort
     for i in range(3):
         assert base[i] == pytest.approx(permuted[perm[i]], rel=1e-12)
 
@@ -124,7 +122,7 @@ def test_conservation_bound_per_round():
     rng_histories = [[9.0, 8.5], [7.0, 7.5], [0.5, 1.0], [10.0, 10.0]]
     nodes = [node_with_history(i, rng_histories[i % 4], stake=100.0 * (i + 1))
              for i in range(12)]
-    out = allocate_rewards(Population.from_nodes(nodes), [0, 1, 2, 3, 4], CFG)
+    out = allocate_rewards(population_from_nodes(nodes), [0, 1, 2, 3, 4], CFG)
     total = math.fsum(out)
     assert total <= CFG.reward_pool + CFG.committee_size * CFG.committee_bonus
 
@@ -138,7 +136,7 @@ def test_stake_cap_effect_on_share():
     def whale_reward(whale_stake):
         nodes = [node_with_history(0, [5.0, 5.0], stake=whale_stake)]
         nodes += [node_with_history(i, [5.0, 5.0], stake=100.0) for i in range(1, 10)]
-        return allocate_rewards(Population.from_nodes(nodes), [], CFG)[0]
+        return allocate_rewards(population_from_nodes(nodes), [], CFG)[0]
 
     def reward_counting(counted_stake, total_stake):
         # equal reputations and contributions: a tenth of the contribution term
@@ -160,6 +158,6 @@ def test_stake_cap_effect_on_share():
 def test_rewards_nonnegative(contribs, committee_pick):
     nodes = [node_with_history(i, [c, c]) for i, c in enumerate(contribs)]
     members = [committee_pick] if committee_pick < len(nodes) else []
-    out = allocate_rewards(Population.from_nodes(nodes), members, CFG)
+    out = allocate_rewards(population_from_nodes(nodes), members, CFG)
     assert len(out) == len(nodes)
     assert all(r >= 0.0 for r in out)
