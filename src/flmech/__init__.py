@@ -8,7 +8,7 @@ from .core import (
 )
 from .committee import CommitteeSelection, SampleError, select_committee, stratum_quota, update_cooldowns
 from .detection import DetectionReport, apply_penalties, detect
-from .engine import PublisherLedger, WorldState, iter_rounds, new_world, run_round, run_simulation
+from .engine import WorldState, iter_rounds, new_world, run_round, run_simulation
 from .metrics import gini, jain_index
 from .contract import (
     ContractContext, DegenerateContract, OptimalSolution, contribution_value,

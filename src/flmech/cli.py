@@ -17,7 +17,6 @@ import csv
 import hashlib
 import itertools
 import json
-import math
 import os
 import sys
 from collections.abc import Callable
@@ -310,7 +309,8 @@ def cmd_verify(args) -> int:
     caps_ok = override_ok = finite_ok = quality_ok = in_order = metrics_in_order = True
     paid_ok = size_ok = gap_ok = penalty_ok = metrics_ok = True
     # the metrics.csv row each whole, in-order round of rounds.csv implies, at
-    # index t; None for a round with a non-finite cell
+    # index t; None for a round with a non-finite cell, [] for one whose exact
+    # sums overflow (no run writes such a round, so [] matches no row)
     implied_metrics: list[list | None] = []
     metrics_mismatch = summary_mismatch = ""
     # the run state after the whole rounds read so far, which summary.json reports
@@ -360,34 +360,41 @@ def cmd_verify(args) -> int:
             if finite.all():
                 roles = np.array(roles)
                 malicious = roles == Role.MALICIOUS.value
-                implied_metrics[t] = _metrics_row(
-                    t, jain_index(reward, cfg.epsilon), gini(reward), sum(detected_col), rep,
-                    reward, roles == Role.HONEST.value, malicious)
+                try:
+                    implied_metrics[t] = _metrics_row(
+                        t, jain_index(reward, cfg.epsilon), gini(reward), sum(detected_col), rep,
+                        reward, roles == Role.HONEST.value, malicious)
+                except OverflowError:
+                    implied_metrics[t] = []
                 total_reward = total_reward + reward
                 stake, stake_deducted = deduct_stakes(stake, detected, cfg.stake_penalty_factor)
-                world.ledger.stake_deductions += stake_deducted
-                world.tally_round(np.flatnonzero(detected).tolist())
+                world.tally_round(np.flatnonzero(detected).tolist(), stake_deducted)
         if in_order and finite_ok and rounds_rows == cfg.rounds * n:
             world.nodes = replace(world.nodes, reputation=reputation, malicious=malicious,
                                   total_reward=total_reward)
-            implied = _summary_doc(world)
             try:
                 recorded = json.loads((out_dir / "summary.json").read_text())
             except ValueError:
                 recorded = None
-            summary_mismatch = next((field for field, value in implied.items()
-                                     if not isinstance(recorded, dict)
-                                     or recorded.get(field) != value), "")
+            try:
+                summary_mismatch = next((field for field, value in _summary_doc(world).items()
+                                         if not isinstance(recorded, dict)
+                                         or recorded.get(field) != value), "")
+            except (OverflowError, ValueError):  # a sum of the totals overflows, or adds inf to -inf
+                summary_mismatch = "overflow"
         # any block size gives the same verdicts
         for block in _csv_blocks(out_dir / "metrics.csv", METRICS_COLUMNS, METRICS_TYPES, n):
+            # an int cell is finite, and may lie beyond the double range
+            finite_ok &= bool(np.isfinite(
+                [column for column, kind in zip(block, METRICS_TYPES) if kind is float]).all())
             for row in map(list, zip(*block)):
-                finite_ok = finite_ok and all(map(math.isfinite, row))
                 metrics_in_order = metrics_in_order and row[0] == metrics_rows
                 implied = (implied_metrics[metrics_rows] if metrics_in_order
                            and metrics_rows < len(implied_metrics) else None)
                 if metrics_ok and implied is not None and row != implied:
                     metrics_ok = False
-                    column = next(c for c, a, b in zip(METRICS_COLUMNS, row, implied) if a != b)
+                    column = next((c for c, a, b in zip(METRICS_COLUMNS, row, implied) if a != b),
+                                  "overflow")
                     metrics_mismatch = f"round {row[0]}: {column}"
                 metrics_rows += 1
     except (OSError, ValueError) as exc:

@@ -71,7 +71,6 @@ class ContractContext:
     c_total: float = 0.0            # population decayed contribution mass
     c_hist: float = 0.0             # one participant's decayed contribution
     tau_time: float = 1.0           # completion time entering V(C)
-    committee_term: float = 0.0     # bonus already promised to the participant
 
 
 def _zeta_mass(cfg: SystemConfig) -> float:
@@ -141,17 +140,17 @@ def optimal_contribution_closed_form(cfg: SystemConfig,
 
 def _stake(cfg: SystemConfig, ctx: ContractContext, r_star: float) -> float:
     """Uniform stake S* that balances the stake-weighted share of the pool
-    against the reward R* net of the committee and contribution terms.
+    against the reward R* net of the contribution term.
 
     Raises DegenerateContract when that net reward is not positive.
     """
     pool_term = (1.0 - cfg.stake_weight) * cfg.reward_pool * ctx.fairness * ctx.c_hist / ctx.c_total
-    denom = r_star - ctx.committee_term - pool_term
+    denom = r_star - pool_term
     if denom <= 0:
         raise DegenerateContract(
             f"stake equation denominator is {'zero' if denom == 0 else 'negative'} "
-            f"({denom:.6g}); reward {r_star:.6g} does not exceed committee + contribution "
-            f"terms {ctx.committee_term + pool_term:.6g}")
+            f"({denom:.6g}); reward {r_star:.6g} does not exceed contribution "
+            f"term {pool_term:.6g}")
     return cfg.stake_weight * cfg.reward_pool * ctx.fairness / (cfg.n_nodes * denom)
 
 
@@ -168,7 +167,7 @@ def optimal_contract_closed_form(cfg: SystemConfig,
     """Full closed-form contract: C* from the first-order condition, the
     IR-binding reward R* = cost(C*), and the uniform stake S* that balances
     the stake-weighted share of the pool against the reward net of the
-    committee and contribution terms."""
+    contribution term."""
     if ctx is None:
         ctx = default_contract_context(cfg)
     cf = optimal_contribution_closed_form(cfg, ctx)

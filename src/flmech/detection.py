@@ -87,7 +87,7 @@ class Penalties(NamedTuple):
     reputation: np.ndarray
     stake: np.ndarray
     amounts: np.ndarray      # reputation deducted; 0 for nodes not flagged
-    stake_deducted: float    # total stake deducted, for the publisher ledger
+    stake_deducted: float    # total stake deducted, which the publisher takes in
 
 
 def apply_penalties(pop: Population, report: DetectionReport, cfg: SystemConfig) -> Penalties:

@@ -5,8 +5,8 @@ aggregate, detect and penalize malicious behaviour or apply the reputation
 update, allocate rewards, compute fairness metrics, and emit an audit
 record. Node state is kept as columns (`core.Population`); each step reads
 columns and returns new arrays, and a round swaps in its new population and
-ledger only once every step has succeeded, so a failure inside any step
-leaves the pre-round state in place.
+tallies its stake income only once every step has succeeded, so a failure
+inside any step leaves the pre-round state in place.
 """
 
 import math
@@ -32,31 +32,27 @@ from .reputation import qualities, stability, update_reputation, update_reputati
 
 
 @dataclass
-class PublisherLedger:
-    """Running account of what the mechanism earns for the task publisher."""
-    stake_deductions: float = 0.0
-
-
-@dataclass
 class WorldState:
     """The whole simulation: config, population (`core.Population` columns,
     node i at index i), attack phase table (`core.attack_patterns`), RNG,
-    round counter, publisher ledger, and the two tallies `summary()` reads:
-    the detected count of each finished round and each flagged node's first
-    detection round. `records` holds the per-round records only after
+    round counter, and the tallies `summary()` reads: the publisher's stake
+    income, the detected count of each finished round and each flagged node's
+    first detection round. `records` holds the per-round records only after
     `run_simulation`; `run_round` and `iter_rounds` keep none."""
     cfg: SystemConfig
     nodes: Population
     schedule: list[tuple[int, int, PatternKind]]
     rng: RngStream
     t: int = 0
-    ledger: PublisherLedger = field(default_factory=PublisherLedger)
+    stake_income: float = 0.0
     detected_per_round: list[int] = field(default_factory=list)
     first_detected: dict[int, int] = field(default_factory=dict)
     records: list[RoundRecord] = field(default_factory=list)
 
-    def tally_round(self, detected: list[int]) -> None:
-        """Tally finished round `t`, which flagged node ids `detected`, and advance `t`."""
+    def tally_round(self, detected: list[int], stake_deducted: float) -> None:
+        """Tally finished round `t`, which flagged node ids `detected` and took
+        `stake_deducted` from their stakes, and advance `t`."""
+        self.stake_income += stake_deducted
         self.detected_per_round.append(len(detected))
         for node_id in detected:
             self.first_detected.setdefault(node_id, self.t)
@@ -81,7 +77,7 @@ class WorldState:
             "malicious_mean_reputation": mean(pop.reputation[malicious].tolist()),
             "cumulative_reward_gini": gini(pop.total_reward),
             "honest_reward_gini": gini(pop.total_reward[honest]),
-            "publisher_stake_income": self.ledger.stake_deductions,
+            "publisher_stake_income": self.stake_income,
             "detected_per_round": list(self.detected_per_round),
             "first_detection_round": self.first_detection_round(),
         }
@@ -127,12 +123,12 @@ def collect_contributions(state: WorldState) -> tuple[Population, np.ndarray, np
 def run_round(state: WorldState) -> RoundRecord:
     """Execute one full round, update the state's tallies and return the
     round's record without keeping it. Atomic over the state: the round
-    computes a new population and ledger and swaps them in only when every
-    step has succeeded."""
+    computes a new population and swaps it in, and tallies the round, only
+    when every step has succeeded."""
     if state.t >= state.cfg.rounds:
         raise ValueError(f"round {state.t} out of range; run has {state.cfg.rounds} rounds")
-    state.nodes, state.ledger, record = _run_round_steps(state)
-    state.tally_round(record.detected)
+    state.nodes, stake_deducted, record = _run_round_steps(state)
+    state.tally_round(record.detected, stake_deducted)
     return record
 
 
@@ -143,8 +139,8 @@ def iter_rounds(state: WorldState) -> Iterator[RoundRecord]:
         yield run_round(state)
 
 
-def _run_round_steps(state: WorldState) -> tuple[Population, PublisherLedger, RoundRecord]:
-    cfg, t, ledger = state.cfg, state.t, state.ledger
+def _run_round_steps(state: WorldState) -> tuple[Population, float, RoundRecord]:
+    cfg, t = state.cfg, state.t
 
     # (1) contributions
     pop, contributions, completion_times, timeouts = collect_contributions(state)
@@ -169,14 +165,13 @@ def _run_round_steps(state: WorldState) -> tuple[Population, PublisherLedger, Ro
     # (6) rewards on post-update reputations (no step reads the new cooldowns)
     rewards = reward_mod.allocate_rewards(pop, selection.members, cfg)
     pop = replace(pop, cooldown=cooldown, total_reward=pop.total_reward + rewards)
-    ledger = PublisherLedger(ledger.stake_deductions + penalized.stake_deducted)
 
     # (7) fairness metrics over this round's rewards
     jain = jain_index(rewards, cfg.epsilon)
     g = gini(rewards)
 
     # (8) audit record
-    return pop, ledger, RoundRecord(
+    return pop, penalized.stake_deducted, RoundRecord(
         round=t,
         committee=sorted(selection.members),
         undersized_committee=selection.undersized,

@@ -22,7 +22,7 @@ import numpy as np
 from flmech.behavior import sample_contributions
 from flmech.committee import select_committee
 from flmech.core import Node, Population, Role, RoundRecord
-from flmech.engine import PublisherLedger, WorldState
+from flmech.engine import WorldState
 from flmech.metrics import gini, jain_index, mean, pstd
 from flmech.reputation import quality, stability, update_reputation
 from flmech.reward import alpha_weight, committee_bonus, effective_stake
@@ -203,7 +203,7 @@ def reference_round(state: WorldState,
         nd.cooldown = cfg.cooldown_period if nd.id in members else max(0, nd.cooldown - 1)
 
     after = replace(state, nodes=population_from_nodes(nodes), t=t + 1,
-                    ledger=PublisherLedger(state.ledger.stake_deductions + stake_deducted),
+                    stake_income=state.stake_income + stake_deducted,
                     detected_per_round=state.detected_per_round + [len(detected)],
                     first_detected={**{i: t for i in detected}, **state.first_detected})
     return after, RoundRecord(

@@ -503,8 +503,12 @@ def _swap(first, second):
      "359 rounds.csv rows, 12 metrics.csv rows, out of order"),
     # round 5 is not whole, but its 13 rows are in order
     ("rounds.csv", lambda lines: lines[:1 + 163], "163 rounds.csv rows, 12 metrics.csv rows"),
+    # a round cell beyond the double range is finite, an int out of order
+    ("metrics.csv", lambda lines: [lines[0], "1" + "0" * 399 + lines[1][1:], *lines[2:]],
+     "360 rounds.csv rows, 12 metrics.csv rows, out of order"),
 ], ids=["rounds.csv cut at a row boundary", "rounds.csv rows swapped",
-        "metrics.csv rows swapped", "rounds.csv middle row deleted", "rounds.csv cut mid-round"])
+        "metrics.csv rows swapped", "rounds.csv middle row deleted", "rounds.csv cut mid-round",
+        "metrics.csv round of 400 digits"])
 def test_verify_fails_rows_that_do_not_cover_the_run(fast_config, tmp_path, capsys,
                                                      name, edit, detail):
     out = tmp_path / "vr"
@@ -516,6 +520,30 @@ def test_verify_fails_rows_that_do_not_cover_the_run(fast_config, tmp_path, caps
     assert main(["verify", "--out", str(out)]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert failed == [f"FAIL rows_cover_every_round_and_node (12 rounds x 30 nodes) ({detail})"]
+
+
+def test_verify_compares_metrics_of_whole_rounds_before_rounds_csv_goes_out_of_order(
+        fast_config, tmp_path, capsys):
+    # rounds.csv goes out of order at round 5, whose nodes 0 and 1 swap rows;
+    # rounds 0-4 are whole and in order, so their metrics.csv rows are still
+    # recomputed, and round 2's edited jain fails
+    out = tmp_path / "vo"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    lines = (out / "rounds.csv").read_text().splitlines(keepends=True)
+    (out / "rounds.csv").write_text("".join(_swap(2 + 5 * 30, 3 + 5 * 30)(lines)))
+    lines = (out / "metrics.csv").read_text().splitlines(keepends=True)
+    cells = lines[3].split(",")
+    assert cells[0] == "2"
+    cells[METRICS_COLUMNS.index("jain")] = "0.123"
+    lines[3] = ",".join(cells)
+    (out / "metrics.csv").write_text("".join(lines))
+    rehash(out, "rounds.csv", "metrics.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL metrics_recomputed_from_rounds (round 2: jain)",
+                      "FAIL rows_cover_every_round_and_node (12 rounds x 30 nodes)"
+                      " (360 rounds.csv rows, 12 metrics.csv rows, out of order)"]
 
 
 QUALITY, REPUTATION, PENALTY, COMMITTEE, DETECTED = (
@@ -573,12 +601,16 @@ def test_verify_fails_row_that_disagrees_with_the_mechanism(fast_config, tmp_pat
     assert failed == [f"FAIL {check}"]
 
 
-@pytest.mark.parametrize("column", METRICS_COLUMNS[1:])
-def test_verify_recomputes_each_metrics_column(fast_config, tmp_path, capsys, column):
+@pytest.mark.parametrize("column, cell", [
+    *((column, "7" if column == "detected_count" else "0.123") for column in METRICS_COLUMNS[1:]),
+    # an int cell beyond the double range is finite, and compared as an int
+    ("detected_count", "1" + "0" * 399),
+], ids=[*METRICS_COLUMNS[1:], "detected_count of 400 digits"])
+def test_verify_recomputes_each_metrics_column(fast_config, tmp_path, capsys, column, cell):
     # a finite value of the column's type that the round's rounds.csv rows do not imply
     out = tmp_path / "vx"
     main(["simulate", "--config", str(fast_config), "--out", str(out)])
-    edit_first_row(out / "metrics.csv", **{column: "7" if column == "detected_count" else "0.123"})
+    edit_first_row(out / "metrics.csv", **{column: cell})
     rehash(out, "metrics.csv")
     capsys.readouterr()
     assert main(["verify", "--out", str(out)]) == 1
@@ -601,6 +633,52 @@ def test_verify_recomputes_metrics_over_role_tags_it_knows(fast_config, tmp_path
     assert main(["verify", "--out", str(out)]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert failed == ["FAIL metrics_recomputed_from_rounds (round 0: honest_mean_rep)"]
+
+
+def _set_cells(column, cells):
+    # set `column` of rounds.csv row k (row 0 is round 0, node 0) to cells[k]
+    def edit(rows):
+        for k, cell in cells.items():
+            rows[1 + k][ROUNDS_COLUMNS.index(column)] = cell
+    return edit
+
+
+@pytest.mark.parametrize("edit, failed", [
+    # conservation bounds a round's pay from above only, so here only the
+    # recomputations fail; they must not skip the round as they skip one
+    # with a non-finite cell
+    (_set_cells("reward", {0: "-1e308", 1: "-1e308"}),
+     ["metrics_recomputed_from_rounds (round 0: overflow)",
+      "summary_recomputed_from_rounds (overflow)"]),
+    (_set_cells("reward", {0: "1e308", 1: "1e308"}),
+     ["reward_conservation_per_round (<= 1400.0)",
+      "metrics_recomputed_from_rounds (round 0: overflow)",
+      "summary_recomputed_from_rounds (overflow)"]),
+    (_set_cells("reputation", {0: "1e308", 1: "1e308"}),
+     ["reputation_within_caps", "metrics_recomputed_from_rounds (round 0: overflow)"]),
+    # rounds 0 and 1 each pay node 0 1e308 and node 1 -1e308: each round's
+    # sums hold, but the two nodes' totals overflow to inf and -inf
+    (_set_cells("reward", {0: "1e308", 1: "-1e308", 30: "1e308", 31: "-1e308"}),
+     ["metrics_recomputed_from_rounds (round 0: jain)",
+      "summary_recomputed_from_rounds (overflow)"]),
+], ids=["two rewards of -1e308", "two rewards of 1e308", "two reputations of 1e308",
+        "reward totals of inf and -inf"])
+def test_verify_fails_recomputations_that_overflow(fast_config, tmp_path, capsys, edit, failed):
+    # every cell is finite, but an exact sum over them is not: that check
+    # fails, and every other check line still prints
+    out = tmp_path / "vo"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    rows = read_rows(out / "rounds.csv")
+    edit(rows)
+    with (out / "rounds.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    rehash(out, "rounds.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    report = captured.out.splitlines()
+    assert len(report) == 12 and captured.err == ""
+    assert [line for line in report if line.startswith("FAIL")] == [f"FAIL {c}" for c in failed]
 
 
 def test_verify_passes_header_only_files_of_zero_rounds(tmp_path, capsys):
@@ -854,7 +932,7 @@ def _usage_case(*args):
         "initial_reputation = 1e200\nr_max_early = 1e300\nr_max_late = 1e300",
         # beta = 1 - alpha goes negative above 1
         "stake_weight = 2", "stake_weight = 1e300",
-        # the publisher ledger took in more stake than the nodes lost
+        # the publisher took in more stake than the nodes lost
         "stake_penalty_factor = 2"]),
     # an int too large for a C long, or for a double, ended in a traceback
     _config_file_case("cooldown_period = 100000000000000000000"),

@@ -122,9 +122,9 @@ def test_stake_equation_arithmetic():
 
 
 def test_degenerate_contract_detected():
-    ctx = ContractContext(fairness=1.0, c_total=3600.0, c_hist=100.0,
-                          tau_time=1.0, committee_term=5.0)
-    with pytest.raises(DegenerateContract, match="zero|negative"):
+    # C* stays at the ceiling, so R* = 25 equals the pool term 720 * 100/2880
+    ctx = ContractContext(fairness=1.0, c_total=2880.0, c_hist=100.0, tau_time=1.0)
+    with pytest.raises(DegenerateContract, match="zero"):
         optimal_contract_closed_form(CFG, ctx)
 
 

@@ -137,7 +137,7 @@ def test_round_failing_mid_stream_leaves_state_unchanged(monkeypatch):
         next(stream)
     assert state.first_detected  # round 3 flags nodes at this seed
     before = (state.t, list(state.detected_per_round), dict(state.first_detected),
-              record_nodes(state), dataclasses.replace(state.ledger))
+              record_nodes(state), state.stake_income)
 
     def boom(*args, **kwargs):
         raise RuntimeError("injected failure")
@@ -146,7 +146,7 @@ def test_round_failing_mid_stream_leaves_state_unchanged(monkeypatch):
     with pytest.raises(RuntimeError, match="injected failure"):
         next(stream)
     assert (state.t, state.detected_per_round, state.first_detected,
-            record_nodes(state), state.ledger) == before
+            record_nodes(state), state.stake_income) == before
     # a fresh stream resumes at the failed round and ends where an unbroken run ends
     monkeypatch.undo()
     for _ in iter_rounds(state):
@@ -247,9 +247,9 @@ def test_publisher_ledger_accumulates_stake_deductions():
     stakes_before = {nd.id: nd.stake for nd in state.nodes}
     for _ in range(8):
         run_round(state)
-    assert state.ledger.stake_deductions > 0.0
+    assert state.stake_income > 0.0
     total_lost = sum(stakes_before[nd.id] - nd.stake for nd in state.nodes)
-    assert state.ledger.stake_deductions == pytest.approx(total_lost, rel=1e-9)
+    assert state.stake_income == pytest.approx(total_lost, rel=1e-9)
     malicious = [nd for nd in state.nodes if nd.role is Role.MALICIOUS]
     assert all(nd.stake < 100.0 for nd in malicious)
 

@@ -4,11 +4,11 @@
 the order in which the engine wires them, which state each step reads. Whole
 runs of random valid configs go through `engine.run_round`, and before each
 round the state is handed to `oracles.reference_round` too. Every
-`RoundRecord` field, the population the round leaves, the ledger and the
-tallies must agree: exactly, except for the reputations and what reads them
-(rewards, reward totals, fairness), which sit downstream of a window std that
-the engine takes with numpy and the reference with `math.fsum`, and so agree
-to `BAND` relative.
+`RoundRecord` field, the population the round leaves and the tallies (the
+stake income among them) must agree: exactly, except for the reputations and
+what reads them (rewards, reward totals, fairness), which sit downstream of a
+window std that the engine takes with numpy and the reference with
+`math.fsum`, and so agree to `BAND` relative.
 """
 
 import dataclasses
@@ -104,7 +104,7 @@ def run_in_lockstep(cfg: SystemConfig) -> None:
         expected_state, expected = reference_round(before, record.detected)
         assert_same_record(record, expected)
         assert_same_population(state.nodes, expected_state.nodes)
-        assert state.ledger == expected_state.ledger
+        assert state.stake_income == expected_state.stake_income
         assert state.t == expected_state.t
         assert state.detected_per_round == expected_state.detected_per_round
         assert state.first_detected == expected_state.first_detected
