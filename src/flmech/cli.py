@@ -34,7 +34,7 @@ from .detection import deduct_stakes
 # `run_simulation` is not called here; it stays a name of this module because
 # bench/spans.py wraps `cli.run_simulation` by that name.
 from .engine import WorldState, iter_rounds, new_world, run_simulation  # noqa: F401
-from .metrics import gini, jain_index, mean, sequential_sum
+from .metrics import gini, jain_index, mean
 from .reputation import qualities
 
 SCHEMA_VERSION = 1
@@ -100,23 +100,20 @@ def _summary_doc(state: WorldState) -> dict:
     return summary
 
 
-def _write_manifest(out_dir: Path, subcommand: str, cfg: SystemConfig,
-                    config_path: str | None, seeds: list[int],
-                    file_names: list[str], extra: dict | None = None) -> Path:
+def _write_manifest(out_dir: Path, subcommand: str, cfg: SystemConfig, seeds: list[int],
+                    file_names: list[str], extra: dict | None = None) -> None:
+    """Write out_dir/manifest.json, which names no path: a run's manifest does
+    not depend on where its files or its config file are."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": subcommand,
-        "config_path": config_path,
         "seeds": seeds,
-        "out_dir": str(out_dir),
         "config": config_to_dict(cfg),
         "files": {name: _sha256(out_dir / name) for name in sorted(file_names)},
     }
     if extra:
         manifest.update(extra)
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _resolve_out(args, create: bool = True) -> Path:
@@ -147,7 +144,7 @@ def cmd_simulate(args) -> int:
                                               rec.rewards, ~malicious, malicious))
     (out_dir / "summary.json").write_text(
         json.dumps(_summary_doc(state), indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "simulate", state.cfg, args.config, [state.cfg.seed], RUN_FILES,
+    _write_manifest(out_dir, "simulate", state.cfg, [state.cfg.seed], RUN_FILES,
                     extra={"columns": {"rounds.csv": ROUNDS_COLUMNS,
                                        "metrics.csv": METRICS_COLUMNS}})
     print(f"simulate: wrote rounds.csv, metrics.csv, summary.json, manifest.json to {out_dir}")
@@ -216,7 +213,7 @@ def cmd_sweep(args) -> int:
     (out_dir / "sweep_summary.json").write_text(
         json.dumps(run_summaries, indent=2, sort_keys=True) + "\n")
     # the manifest names the first run's seed, as simulate names its run's
-    _write_manifest(out_dir, "sweep", replace(cfg, seed=seeds[0]), args.config, seeds,
+    _write_manifest(out_dir, "sweep", replace(cfg, seed=seeds[0]), seeds,
                     ["sweep.csv", "sweep_summary.json"],
                     extra={"grid": {k: grid[k] for k in keys},
                            "runs": len(combos) * len(seeds)})
@@ -235,7 +232,7 @@ def cmd_contract_opt(args) -> int:
     print(text)
     if out_dir:
         (out_dir / "contract.json").write_text(text + "\n")
-        _write_manifest(out_dir, "contract-opt", cfg, args.config, [cfg.seed], ["contract.json"])
+        _write_manifest(out_dir, "contract-opt", cfg, [cfg.seed], ["contract.json"])
     return 0
 
 
@@ -338,7 +335,7 @@ def cmd_verify(args) -> int:
             finite = np.isfinite(floats).all(axis=0)
             # in order, every row is of round t
             r_max = cfg.r_max(t) if in_order else np.fromiter(map(cfg.r_max, t_col), float, m)
-            caps_ok &= bool(np.all((0.0 <= rep) & (rep <= r_max + 1e-9)))
+            caps_ok &= bool(np.all((0.0 <= rep) & (rep <= r_max)))
             override_ok &= bool(np.all((contribution != 0.0) | (reward == 0.0)))
             finite_ok &= bool(finite.all())
             quality_ok &= bool(np.all(
@@ -348,7 +345,7 @@ def cmd_verify(args) -> int:
                 # the checks below compare rows, so they read whole rounds only
                 continue
             members, detected = np.flatnonzero(committee_col), np.array(detected_col, dtype=bool)
-            paid_ok &= sequential_sum(reward) <= bound + 1e-9
+            paid_ok &= float(reward.sum()) <= bound + 1e-9
             size_ok &= members.size <= cfg.committee_size
             gap_ok &= bool(np.all(t - last_member[members] > cfg.cooldown_period))
             last_member[members] = t

@@ -41,14 +41,16 @@ def stratum_quota(committee_size: int, strata: int, k: int) -> int:
     return base + (1 if k <= committee_size % strata else 0)
 
 
+@np.errstate(over="ignore")
 def weighted_sample_without_replacement(candidates, weights, count: int,
                                         rng: np.random.Generator) -> list:
     """Weighted sampling without replacement by Efraimidis-Spirakis keys: one
     uniform u_i per candidate, keyed by log1p(-u_i) / w_i, and the `count`
     largest keys first. This is the distribution of sequential draws that
     each pick candidate i with probability w_i over the remaining weight. A
-    zero weight keys to -inf, after every positive one; ties break by
-    ascending u, so zero-weight candidates come in uniform order.
+    zero weight keys to -inf, after every positive one, and so may a weight
+    below 2**-1018, whose key can overflow; ties break by ascending u, so
+    candidates keyed -inf come in uniform order.
     """
     if count > len(candidates):
         raise SampleError(f"cannot sample {count} from {len(candidates)} candidates")

@@ -212,6 +212,9 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         problems.append("base_decay/decay_compensation: delta_b + lambda_p must be <= 1")
     if cfg.c_max <= cfg.c_min:
         problems.append("c_max: must exceed c_min")
+    # a penalised reputation is not clamped to the cap, so a falling cap could leave it above
+    if cfg.r_max_late < cfg.r_max_early:
+        problems.append("r_max_late: the cap must not fall below r_max_early")
     if cfg.window < 1:
         problems.append("window: must be >= 1")
     if cfg.rounds < 0:
@@ -349,10 +352,10 @@ def load_config(path: str | Path) -> SystemConfig:
     """Load a `key = value` config file into a validated SystemConfig.
 
     Lines starting with `#` are comments. Keys must be SystemConfig field
-    names; unknown keys raise ConfigError.
+    names, each given once; an unknown or repeated key raises ConfigError.
     """
     path = Path(path)
-    overrides = {}
+    overrides, key_lines = {}, {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -363,6 +366,10 @@ def load_config(path: str | Path) -> SystemConfig:
         key = key.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in key_lines:
+            raise ConfigError(f"{path}:{lineno}: config key '{key}' already given"
+                              f" on line {key_lines[key]}")
+        key_lines[key] = lineno
         overrides[key] = _parse_value(key, raw)
     return validate_config(replace(SystemConfig(), **overrides))
 

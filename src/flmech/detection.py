@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Population, SystemConfig
-from .metrics import mean, sequential_sum
+from .metrics import mean
 
 
 @dataclass
@@ -94,8 +94,7 @@ def apply_penalties(pop: Population, report: DetectionReport, cfg: SystemConfig)
     """Deduct reputation and a stake_penalty_factor share of the stake from
     every flagged node; the other nodes keep theirs. A node's penalty is
     lambda_r * reputation + lambda_s * stake, capped at half its reputation
-    to avoid over-punishment. Neither falls below zero. The stake total is
-    added in node order."""
+    to avoid over-punishment. Neither falls below zero."""
     flagged = report.flagged
     lambda_s = cfg.stake_penalty_factor
     amounts = np.where(flagged, np.minimum(cfg.reputation_penalty_factor * pop.reputation
@@ -109,9 +108,9 @@ def apply_penalties(pop: Population, report: DetectionReport, cfg: SystemConfig)
 def deduct_stakes(stake: np.ndarray, flagged: np.ndarray,
                   lambda_s: float) -> tuple[np.ndarray, float]:
     """Deduct a lambda_s share of each flagged node's stake, not below zero.
-    Returns the new stakes and the total deducted, added in node order."""
+    Returns the new stakes and the total deducted, summed by math.fsum."""
     kept = stake[flagged]
     deductions = lambda_s * kept
     stake = stake.copy()
     stake[flagged] = np.maximum(0.0, kept - deductions)
-    return stake, sequential_sum(deductions)
+    return stake, math.fsum(deductions.tolist())

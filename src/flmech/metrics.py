@@ -84,10 +84,3 @@ def gini(values) -> float:
     cum_sum = float(np.cumsum(np.cumsum(ordered))[-1])
     return (n + 1 - 2.0 * cum_sum / total) / n
 
-
-def sequential_sum(values: np.ndarray) -> float:
-    """0.0 + values[0] + values[1] + ..., added left to right in doubles,
-    as a Python loop of `+=` would add them. The sum runs from values[0],
-    which differs from 0.0 + values[0] only for -0.0, and the 0.0 added
-    last turns a total of -0.0 into 0.0."""
-    return float(np.cumsum(values)[-1]) + 0.0 if len(values) else 0.0

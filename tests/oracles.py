@@ -185,12 +185,12 @@ def reference_round(state: WorldState,
     q = [quality(x, cfg.c_min, cfg.c_max) for x in contributions]
     lambda_r, lambda_s = cfg.reputation_penalty_factor, cfg.stake_penalty_factor
     penalties = [0.0] * n
-    stake_deducted = 0.0
+    deductions = []
     for nd in nodes:
         if flagged[nd.id]:
             penalties[nd.id] = penalty(nd.reputation, nd.stake, lambda_r, lambda_s)
             nd.reputation = max(0.0, nd.reputation - penalties[nd.id])
-            stake_deducted += lambda_s * nd.stake
+            deductions.append(lambda_s * nd.stake)
             nd.stake = max(0.0, nd.stake - lambda_s * nd.stake)
         else:
             lam = stability(nd.contribution_history, cfg.window, cfg.default_stability)
@@ -203,7 +203,7 @@ def reference_round(state: WorldState,
         nd.cooldown = cfg.cooldown_period if nd.id in members else max(0, nd.cooldown - 1)
 
     after = replace(state, nodes=population_from_nodes(nodes), t=t + 1,
-                    stake_income=state.stake_income + stake_deducted,
+                    stake_income=state.stake_income + math.fsum(deductions),
                     detected_per_round=state.detected_per_round + [len(detected)],
                     first_detected={**{i: t for i in detected}, **state.first_detected})
     return after, RoundRecord(

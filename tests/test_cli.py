@@ -1,5 +1,6 @@
 """CLI contract: file schemas, exit codes, determinism, verify checks."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -7,16 +8,21 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flmech import cli
 from flmech.cli import METRICS_COLUMNS, ROUNDS_COLUMNS, main
-from flmech.core import Role, RoundRecord
+from flmech.core import (
+    ConfigError, Role, RoundRecord, SystemConfig, config_to_dict, validate_config,
+)
 from flmech.engine import new_world
+from test_oracles import configs
 
 FAST_CONFIG = (
     "n_nodes = 30\n"
@@ -204,6 +210,17 @@ def test_same_seed_identical_hashes(fast_config, tmp_path):
     assert m1 == m2
     for name in m1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_manifest_names_no_path_of_the_run(tmp_path):
+    # one run, with its config file and its output at two paths each
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "fast.cfg").write_text(FAST_CONFIG)
+        assert main(["simulate", "--config", str(tmp_path / name / "fast.cfg"), "--seed", "0",
+                     "--out", str(tmp_path / name / "out")]) == 0
+    assert ((tmp_path / "a" / "out" / "manifest.json").read_bytes()
+            == (tmp_path / "b" / "out" / "manifest.json").read_bytes())
 
 
 def test_env_var_sets_out_dir(fast_config, tmp_path, monkeypatch):
@@ -410,6 +427,60 @@ def test_verify_fails_nan_in_columns_no_other_check_reads(fast_config, tmp_path,
     assert main(["verify", "--out", str(out)]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert failed == ["FAIL numeric_cells_finite"]
+
+
+@pytest.mark.parametrize("cell, failed", [("300.0", False), ("300.0000000001", True)])
+def test_verify_holds_reputations_to_the_cap_exactly(fast_config, tmp_path, capsys, cell,
+                                                      failed):
+    # round 0's cap is r_max_early = 300; the edit fails the metrics check too
+    out = tmp_path / "vr"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    edit_first_row(out / "rounds.csv", reputation=cell)
+    rehash(out, "rounds.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    report = capsys.readouterr().out
+    assert ("FAIL reputation_within_caps" in report) is failed
+    assert "FAIL metrics_recomputed_from_rounds" in report
+
+
+def config_text(cfg: SystemConfig) -> str:
+    """A config file that loads as `cfg`."""
+    lines = []
+    for key, value in config_to_dict(cfg).items():
+        if key == "attack_schedule" and value is not None:
+            value = ",".join(":".join(map(str, phase)) for phase in value)
+        lines.append(f"{key} = {'none' if value is None else value}")
+    return "\n".join(lines) + "\n"
+
+
+CAPS = st.floats(min_value=0.0, max_value=500.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=configs(), caps=st.tuples(CAPS, CAPS))
+# a falling cap left a node flagged at the switch round above the new cap
+@example(cfg=SystemConfig(n_nodes=12, rounds=12, r_max_switch_round=4, seed=0),
+         caps=(200.0, 100.0))
+# subnormal weights overflowed the committee's sampling keys
+@example(cfg=SystemConfig(n_nodes=12, rounds=10, gamma=1.0, eta_switch=2, committee_size=3),
+         caps=(1e-320, 1e-320))
+def test_every_accepted_config_runs_and_passes_verify(cfg, caps):
+    """Either validate_config rejects a config, or simulate and verify both
+    exit 0 on it. The two caps are drawn independently, every other field as
+    test_oracles draws it."""
+    cfg = replace(cfg, r_max_early=caps[0], r_max_late=caps[1])
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(config_text(cfg))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["simulate", "--config", str(path), "--out", f"{tmp}/run"]) == 0
+            assert main(["verify", "--out", f"{tmp}/run"]) == 0, out.getvalue()
 
 
 def test_verify_passes_without_cooldown(tmp_path, capsys):
@@ -981,3 +1052,75 @@ def test_bad_input_exits_2_with_one_error_line(make_argv, tmp_path, capsys):
     assert captured.out == ""
     # nothing is written for a rejected input
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def _named(param, key, code=2):
+    """A bad-input case that expects exit `code` and one line naming `key`."""
+    return pytest.param(*param.values, code, key, id=param.id)
+
+
+def _summary_not_json(tmp_path):
+    (tmp_path / "fast.cfg").write_text(FAST_CONFIG)
+    main(["simulate", "--config", str(tmp_path / "fast.cfg"), "--out", str(tmp_path / "run")])
+    (tmp_path / "run" / "summary.json").write_text("{not json")
+    rehash(tmp_path / "run", "summary.json")
+    return ["verify", "--out", str(tmp_path / "run")]
+
+
+NON_NEGATIVE_KEYS = [
+    "initial_stake", "initial_reputation", "r_max_early", "r_max_late", "committee_bonus",
+    "base_decay", "decay_compensation", "default_stability", "contribution_bonus",
+    "stability_bonus", "reputation_penalty_factor", "reward_pool", "theta_low", "theta_fluct",
+    "theta_jump", "eps_std", "normal_sigma", "false_high_std", "eta_switch"]
+
+
+@pytest.mark.parametrize("make_argv, code, key", [
+    *(_named(_config_file_case(text), key) for text, key in [
+        ("strata = 0", "strata: L must be >= 1"),
+        ("n_nodes = 0", "n_nodes: population must be >= 1"),
+        ("committee_size = 0", "committee_size: must be >= 1"),
+        ("base_decay = 0.95", "base_decay/decay_compensation: delta_b + lambda_p must be <= 1"),
+        ("c_max = 0", "c_max: must exceed c_min"),
+        ("window = 0", "window: must be >= 1"),
+        ("rounds = -1", "rounds: must be >= 0"),
+        ("cooldown_period = -1", "cooldown_period: must be >= 0"),
+        ("f_scale = 0", "f_scale: must be positive"),
+        ("gamma_c = 0", "gamma_c: must be positive"),
+        ("epsilon = 0", "epsilon: must be positive"),
+        ("fluct_low = 1.2", "fluct_low/fluct_high: invalid range"),
+        ("tau_low = 0", "tau_low/tau_high: completion times must be a positive range"),
+        ("t_max = 0", "t_max: must be positive when set"),
+        *((f"{name} = -1", f"{name}: must be non-negative") for name in NON_NEGATIVE_KEYS),
+        ("attack_schedule = 0:90", "attack_schedule: bad phase '0:90'"),
+        ("n_nodes 30", "n_nodes 30"),
+        # a node flagged at the switch round kept a reputation above the lower
+        # cap, and verify failed the run
+        ("n_nodes = 60\nrounds = 40\nr_max_early = 500\nr_max_late = 300\n"
+         "r_max_switch_round = 20\nattack_schedule = 0:21:false_high, 21:40:zero",
+         "r_max_late: the cap must not fall below r_max_early"),
+        # the last n_nodes line won
+        ("n_nodes = 30\nrounds = 12\nn_nodes = 40",
+         "bad.cfg:3: config key 'n_nodes' already given on line 1"),
+        # only a line that starts with # is a comment
+        ("n_nodes = 30  # population", "n_nodes: expected int"),
+    ]),
+    _named(_manifest_case(json.dumps({"subcommand": "simulate", "config": []}),
+                          "manifest config a list"), "config must be a mapping"),
+    _named(_manifest_case(json.dumps({"subcommand": "simulate", "config": {"bogus": 1}}),
+                          "manifest config key bogus"), "unknown config key 'bogus'"),
+    _named(_sweep_case("--grid", "n_nodes"), "--grid expects key=v1,v2,... got 'n_nodes'"),
+    pytest.param(_summary_not_json, 1, "summary_recomputed_from_rounds", id="summary not JSON"),
+])
+def test_each_rejection_is_one_line_that_names_its_key(make_argv, code, key, tmp_path, capsys):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+    else:
+        # verify reports a run file it cannot read as one FAIL line
+        assert captured.err == ""
+        lines = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert len(lines) == 1 and key in lines[0], lines

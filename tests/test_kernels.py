@@ -19,6 +19,7 @@ how the engine wires the kernels into a round.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -94,18 +95,18 @@ def test_apply_penalties_equals_scalar(data, pop):
     none = np.zeros(len(pop), dtype=bool)
     out = apply_penalties(pop, DetectionReport(none, none, mask), CFG)
     lam_r, lam_s = CFG.reputation_penalty_factor, CFG.stake_penalty_factor
-    total = 0.0
+    deductions = []
     for i, nd in enumerate(pop):
         if mask[i]:
             amount = penalty(nd.reputation, nd.stake, lam_r, lam_s)
             assert out.amounts[i] == amount
             assert out.reputation[i] == max(0.0, nd.reputation - amount)
             assert out.stake[i] == max(0.0, nd.stake - lam_s * nd.stake)
-            total += lam_s * nd.stake
+            deductions.append(lam_s * nd.stake)
         else:
             assert (out.amounts[i], out.reputation[i], out.stake[i]) == (0.0, nd.reputation,
                                                                         nd.stake)
-    assert out.stake_deducted == total
+    assert out.stake_deducted == math.fsum(deductions)
 
 
 @settings(max_examples=100, deadline=None)

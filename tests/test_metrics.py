@@ -1,5 +1,4 @@
-"""Fairness index and Gini coefficient identities and invariances, and the
-left-to-right sum."""
+"""Fairness index and Gini coefficient identities and invariances."""
 
 import math
 import struct
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from flmech.core import sigmoid
-from flmech.metrics import gini, jain_index, jain_ratio, mean, sequential_sum
+from flmech.metrics import gini, jain_index, jain_ratio, mean
 
 positive_lists = st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30)
 
@@ -144,20 +143,3 @@ def test_gini_bounds(values):
 def test_jain_bounds(values):
     assert 0.0 <= jain_index(values) <= 1.0 + 1e-12
 
-
-@settings(max_examples=300, deadline=None)
-@given(values=st.lists(st.floats() | st.sampled_from([0.0, -0.0]), max_size=12))
-@example(values=[]).via("the empty sum")
-@example(values=[-0.0, -0.0]).via("a sum of negative zeros")
-@example(values=[1.0, -1.0, -0.0]).via("a sum that cancels")
-def test_sequential_sum_is_a_loop_of_adds_from_zero(values):
-    total = 0.0
-    for value in values:
-        total += value
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = sequential_sum(np.array(values, dtype=float))
-    # bit for bit, so the sign of a zero total counts; NaN is NaN whatever its bits
-    if math.isnan(total):
-        assert math.isnan(result)
-    else:
-        assert struct.pack("<d", result) == struct.pack("<d", total)
