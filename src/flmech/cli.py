@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import committee
 from .contract import DegenerateContract, optimal_contract_closed_form, solve_constrained
 from .core import (
     _CONFIG_FIELDS, ConfigError, DomainError, Role, RoundRecord, SystemConfig, _parse_value,
@@ -249,7 +250,6 @@ def _csv_blocks(path: Path, header: list[str], types: list[Callable[[str], objec
         try:
             if next(reader, None) != header:
                 raise ValueError(f"corrupt file (header is not {','.join(header)}): {path}")
-            line = reader.line_num
             while rows := list(itertools.islice(reader, size)):
                 try:
                     # the strict zips raise ValueError on rows of unequal widths or of
@@ -258,32 +258,31 @@ def _csv_blocks(path: Path, header: list[str], types: list[Callable[[str], objec
                                else list(map(kind, column))
                                for kind, column in zip(types, zip(*rows, strict=True), strict=True)]
                 except ValueError:
-                    _raise_bad_row(rows, line, header, types, path)
+                    _raise_bad_row(path, header, types)
                     raise
                 del rows   # free the row strings while the block is checked
                 yield columns
-                line = reader.line_num
         except csv.Error as exc:
             raise ValueError(f"corrupt file (line {reader.line_num}: {exc}): {path}") from None
 
 
-def _raise_bad_row(rows: list[list[str]], line: int, header: list[str],
-                   types: list[Callable[[str], object]], path: Path) -> None:
-    """Raise the error that names the first bad row of a block whose first row
-    follows file line `line`. A row ends on the line after its line breaks,
-    those in its quoted cells included, as the csv reader counts lines."""
-    for row in rows:
-        line += 1 + sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in row)
-        if len(row) != len(header):
-            raise ValueError(f"corrupt file (line {line} has {len(row)} fields,"
-                             f" expected {len(header)}): {path}")
-        for cell, column, kind in zip(row, header, types):
-            try:
-                kind(cell)
-            except ValueError:
-                name = "0 or 1" if kind is _flag else kind.__name__
-                raise ValueError(f"corrupt file (line {line}, column {column}:"
-                                 f" {cell!r} is not {name}): {path}") from None
+def _raise_bad_row(path: Path, header: list[str], types: list[Callable[[str], object]]) -> None:
+    """Raise the error that names the first bad row of the CSV file `path`, read
+    again from the top, by the line the csv reader ends the row on."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"corrupt file (line {reader.line_num} has {len(row)} fields,"
+                                 f" expected {len(header)}): {path}")
+            for cell, column, kind in zip(row, header, types):
+                try:
+                    kind(cell)
+                except ValueError:
+                    name = "0 or 1" if kind is _flag else kind.__name__
+                    raise ValueError(f"corrupt file (line {reader.line_num}, column {column}:"
+                                     f" {cell!r} is not {name}): {path}") from None
 
 
 # IEEE arithmetic on cells read from the files: an inf or NaN fails the
@@ -312,10 +311,6 @@ def cmd_verify(args) -> int:
     metrics_mismatch = summary_mismatch = ""
     # the run state after the whole rounds read so far, which summary.json reports
     world = new_world(cfg)
-    reputation, malicious, total_reward, stake = (
-        world.nodes.reputation, world.nodes.malicious, world.nodes.total_reward, world.nodes.stake)
-    # the last round each node sat on a committee (one no gap check can fail before the first)
-    last_member = np.full(n, -1 - cfg.cooldown_period, dtype=np.int64)
     # row k of rounds.csv is round k // n_nodes, node k % n_nodes; of metrics.csv, round k
     rounds_rows = metrics_rows = 0
     try:
@@ -344,31 +339,31 @@ def cmd_verify(args) -> int:
             if not in_order or m < n:
                 # the checks below compare rows, so they read whole rounds only
                 continue
+            pop = world.nodes
             members, detected = np.flatnonzero(committee_col), np.array(detected_col, dtype=bool)
             paid_ok &= float(reward.sum()) <= bound + 1e-9
             size_ok &= members.size <= cfg.committee_size
-            gap_ok &= bool(np.all(t - last_member[members] > cfg.cooldown_period))
-            last_member[members] = t
+            # off cooldown: no committee seat within cooldown_period rounds before t
+            gap_ok &= bool(np.all(pop.cooldown[members] == 0))
             penalty_ok &= bool(np.all(np.where(
-                detected, (0.0 <= penalty) & (penalty <= reputation / 2.0),
+                detected, (0.0 <= penalty) & (penalty <= pop.reputation / 2.0),
                 penalty == 0.0)[finite]))
-            reputation = rep
+            roles = np.array(roles)
+            malicious = roles == Role.MALICIOUS.value
             implied_metrics.append(None)
             if finite.all():
-                roles = np.array(roles)
-                malicious = roles == Role.MALICIOUS.value
                 try:
                     implied_metrics[t] = _metrics_row(
                         t, jain_index(reward, cfg.epsilon), gini(reward), sum(detected_col), rep,
                         reward, roles == Role.HONEST.value, malicious)
                 except OverflowError:
                     implied_metrics[t] = []
-                total_reward = total_reward + reward
-                stake, stake_deducted = deduct_stakes(stake, detected, cfg.stake_penalty_factor)
-                world.tally_round(np.flatnonzero(detected).tolist(), stake_deducted)
+            stake, stake_deducted = deduct_stakes(pop.stake, detected, cfg.stake_penalty_factor)
+            world.tally_round(replace(pop, reputation=rep, malicious=malicious, stake=stake,
+                                      total_reward=pop.total_reward + reward,
+                                      cooldown=committee.update_cooldowns(pop, members, cfg)),
+                              np.flatnonzero(detected).tolist(), stake_deducted)
         if in_order and finite_ok and rounds_rows == cfg.rounds * n:
-            world.nodes = replace(world.nodes, reputation=reputation, malicious=malicious,
-                                  total_reward=total_reward)
             try:
                 recorded = json.loads((out_dir / "summary.json").read_text())
             except ValueError:

@@ -11,6 +11,7 @@ and takes the largest keys (Efraimidis & Spirakis, "Weighted random sampling
 with a reservoir", IPL 2006): the distribution of sequential weighted draws.
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -48,14 +49,18 @@ def weighted_sample_without_replacement(candidates, weights, count: int,
     uniform u_i per candidate, keyed by log1p(-u_i) / w_i, and the `count`
     largest keys first. This is the distribution of sequential draws that
     each pick candidate i with probability w_i over the remaining weight. A
-    zero weight keys to -inf, after every positive one, and so may a weight
-    below 2**-1018, whose key can overflow; ties break by ascending u, so
-    candidates keyed -inf come in uniform order.
+    zero weight keys to -inf, after every positive one; ties break by
+    ascending u, so candidates keyed -inf come in uniform order. Weights
+    whose largest is below 1/2 are scaled by the exact power of two that
+    brings it into [1/2, 1), so a tiny positive weight's key does not overflow.
     """
     if count > len(candidates):
         raise SampleError(f"cannot sample {count} from {len(candidates)} candidates")
     u = rng.random(len(candidates))
     w = np.asarray(weights, dtype=float)
+    top = w.max(initial=0.0)
+    if 0.0 < top < 0.5:
+        w = np.ldexp(w, -math.frexp(top)[1])
     keys = np.divide(np.log1p(-u), w, out=np.full(len(u), -np.inf), where=w > 0.0)
     return [candidates[i] for i in np.lexsort((u, -keys))[:count]]
 

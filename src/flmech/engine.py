@@ -4,9 +4,10 @@ Each round: collect contributions, select the committee, (logically)
 aggregate, detect and penalize malicious behaviour or apply the reputation
 update, allocate rewards, compute fairness metrics, and emit an audit
 record. Node state is kept as columns (`core.Population`); each step reads
-columns and returns new arrays, and a round swaps in its new population and
-tallies its stake income only once every step has succeeded, so a failure
-inside any step leaves the pre-round state in place.
+columns and returns new arrays. `WorldState.tally_round` commits a round: it
+swaps in the new population and tallies the stake income once every step has
+succeeded, so a failure inside any step leaves the pre-round state in place.
+`flmech verify` commits the rounds it replays through the same call.
 """
 
 import math
@@ -49,9 +50,11 @@ class WorldState:
     first_detected: dict[int, int] = field(default_factory=dict)
     records: list[RoundRecord] = field(default_factory=list)
 
-    def tally_round(self, detected: list[int], stake_deducted: float) -> None:
-        """Tally finished round `t`, which flagged node ids `detected` and took
-        `stake_deducted` from their stakes, and advance `t`."""
+    def tally_round(self, nodes: Population, detected: list[int], stake_deducted: float) -> None:
+        """Commit finished round `t`: swap in its population `nodes`, tally the
+        node ids `detected` it flagged and the `stake_deducted` from their
+        stakes, and advance `t`."""
+        self.nodes = nodes
         self.stake_income += stake_deducted
         self.detected_per_round.append(len(detected))
         for node_id in detected:
@@ -127,8 +130,8 @@ def run_round(state: WorldState) -> RoundRecord:
     when every step has succeeded."""
     if state.t >= state.cfg.rounds:
         raise ValueError(f"round {state.t} out of range; run has {state.cfg.rounds} rounds")
-    state.nodes, stake_deducted, record = _run_round_steps(state)
-    state.tally_round(record.detected, stake_deducted)
+    nodes, stake_deducted, record = _run_round_steps(state)
+    state.tally_round(nodes, record.detected, stake_deducted)
     return record
 
 

@@ -511,6 +511,41 @@ def test_verify_detects_committee_gap_within_cooldown(fast_config, tmp_path, cap
     assert "FAIL committee_gap_exceeds_cooldown (> 3)" in capsys.readouterr().out
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verify_gap_verdict_is_the_last_member_rule(data):
+    """verify's committee gap verdict, on committee flags written into a run,
+    is the rule restated: no node sits on two committees `cooldown_period` or
+    fewer rounds apart."""
+    n, rounds = data.draw(st.integers(1, 8), label="n"), data.draw(st.integers(1, 12), label="T")
+    cooldown = data.draw(st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(rounds + 1, 2**53)),
+                         label="cooldown_period")
+    seats = data.draw(st.sets(st.tuples(st.integers(0, rounds - 1), st.integers(0, n - 1)),
+                              max_size=2 * rounds), label="seats")
+    last_member, holds = {}, True
+    for t, node in sorted(seats):
+        if node in last_member:
+            holds &= t - last_member[node] > cooldown
+        last_member[node] = t
+    cfg = SystemConfig(n_nodes=n, rounds=rounds, committee_size=1, cooldown_period=cooldown,
+                       eta_switch=0)
+    flag = ROUNDS_COLUMNS.index("committee")
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "run.cfg").write_text(config_text(cfg))
+        out, report = Path(tmp) / "run", io.StringIO()
+        with contextlib.redirect_stdout(report):
+            assert main(["simulate", "--config", f"{tmp}/run.cfg", "--out", str(out)]) == 0
+            rows = read_rows(out / "rounds.csv")
+            for r in rows[1:]:
+                r[flag] = "1" if (int(r[0]), int(r[1])) in seats else "0"
+            with (out / "rounds.csv").open("w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            rehash(out, "rounds.csv")
+            main(["verify", "--out", str(out)])
+    verdict = "PASS" if holds else "FAIL"
+    assert f"{verdict} committee_gap_exceeds_cooldown (> {cooldown})" in report.getvalue()
+
+
 def test_verify_detects_hash_mismatch(fast_config, tmp_path, capsys):
     out = tmp_path / "vh"
     main(["simulate", "--config", str(fast_config), "--out", str(out)])
@@ -672,6 +707,36 @@ def test_verify_fails_row_that_disagrees_with_the_mechanism(fast_config, tmp_pat
     assert failed == [f"FAIL {check}"]
 
 
+def test_verify_holds_penalties_to_the_reputations_of_a_round_with_a_nan(fast_config, tmp_path,
+                                                                         capsys):
+    # Round t holds a NaN reward, so it fails numeric_cells_finite, but it is
+    # replayed all the same: a penalty in round t + 1 is held to half the
+    # node's reputation after round t, which here is below half of round t - 1's
+    out = tmp_path / "vnan"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    rows = read_rows(out / "rounds.csv")
+    reward = ROUNDS_COLUMNS.index("reward")
+
+    def row(t, node):
+        return rows[1 + 30 * t + node]
+
+    t, node = next((t, node) for t in range(1, 11) for node in range(30)
+                   if 0.0 < float(row(t, node)[REPUTATION]) < float(row(t - 1, node)[REPUTATION]))
+    before, after = float(row(t - 1, node)[REPUTATION]), float(row(t, node)[REPUTATION])
+    penalty = (before + after) / 4.0
+    assert after / 2.0 < penalty <= before / 2.0
+    row(t, node)[reward] = "nan"
+    row(t + 1, node)[DETECTED], row(t + 1, node)[PENALTY] = "1", repr(penalty)
+    with (out / "rounds.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    rehash(out, "rounds.csv")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    report = capsys.readouterr().out
+    assert "FAIL numeric_cells_finite" in report
+    assert "FAIL penalty_only_if_detected_at_most_half_reputation" in report
+
+
 @pytest.mark.parametrize("column, cell", [
     *((column, "7" if column == "detected_count" else "0.123") for column in METRICS_COLUMNS[1:]),
     # an int cell beyond the double range is finite, and compared as an int
@@ -821,19 +886,27 @@ def test_verify_names_line_of_cell_over_the_field_limit(fast_config, tmp_path, c
 
 
 def test_verify_counts_lines_of_cells_that_hold_line_breaks(fast_config, tmp_path, capsys):
-    # row 1's quoted role spans file lines 2 and 3, so row 4 is file line 6
     out = tmp_path / "vb"
     main(["simulate", "--config", str(fast_config), "--out", str(out)])
-    rows = read_rows(out / "rounds.csv")
-    rows[1][ROUNDS_COLUMNS.index("role")] = "hon\r\nest"
-    rows[4][ROUNDS_COLUMNS.index("reward")] = "x"
-    with (out / "rounds.csv").open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    rehash(out, "rounds.csv")
-    capsys.readouterr()
-    assert main(["verify", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: corrupt file (line 6, column reward: 'x'"
-                                       f" is not float): {out / 'rounds.csv'}\n")
+    simulated = read_rows(out / "rounds.csv")
+    for roles, bad_row, line in [
+        # row 1's quoted role spans file lines 2 and 3, so row 4 is file line 6
+        ({1: "hon\r\nest"}, 4, 6),
+        # rows 1 and 2 of round 0 span three more lines than they have rows, and
+        # row 35 is in round 1's block of 30 rows, so it is file line 39
+        ({1: "hon\r\nest", 2: "mal\ni\rcious"}, 35, 39),
+    ]:
+        rows = [list(row) for row in simulated]
+        for row, role in roles.items():
+            rows[row][ROUNDS_COLUMNS.index("role")] = role
+        rows[bad_row][ROUNDS_COLUMNS.index("reward")] = "x"
+        with (out / "rounds.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        rehash(out, "rounds.csv")
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: corrupt file (line {line}, column reward: 'x'"
+                                           f" is not float): {out / 'rounds.csv'}\n")
 
 
 def test_verify_names_metrics_cell_that_does_not_parse(fast_config, tmp_path, capsys):
@@ -1027,9 +1100,6 @@ def _usage_case(*args):
     _verify_output_case("sweep", "--grid", "rounds=8"),
     _verify_output_case("contract-opt"),
     _manifest_case("{not json", "manifest not JSON"),
-    _manifest_case(json.dumps({"files": {}}), "manifest without config"),
-    _manifest_case(json.dumps({"config": {"attack_schedule": [[0, 90, "bogus"]]}, "files": {}}),
-                   "manifest with pattern bogus"),
     # a path of the wrong kind ended in an OSError traceback
     _path_case("simulate", "--out", "{file}", label="simulate --out an existing file"),
     _path_case("simulate", "--out", "{file}/o", label="simulate --out a path under a file"),
@@ -1104,6 +1174,11 @@ NON_NEGATIVE_KEYS = [
         # only a line that starts with # is a comment
         ("n_nodes = 30  # population", "n_nodes: expected int"),
     ]),
+    _named(_manifest_case(json.dumps({"subcommand": "simulate", "files": {}}),
+                          "manifest without config"), "KeyError: 'config'"),
+    _named(_manifest_case(json.dumps({"subcommand": "simulate", "files": {},
+                                      "config": {"attack_schedule": [[0, 90, "bogus"]]}}),
+                          "manifest with pattern bogus"), "unknown pattern 'bogus'"),
     _named(_manifest_case(json.dumps({"subcommand": "simulate", "config": []}),
                           "manifest config a list"), "config must be a mapping"),
     _named(_manifest_case(json.dumps({"subcommand": "simulate", "config": {"bogus": 1}}),

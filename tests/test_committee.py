@@ -62,6 +62,14 @@ def test_weighted_frequency_matches_analytic_probability():
     assert abs(wins / trials - 2 / 3) < 0.01
 
 
+def test_weights_too_small_to_key_are_still_picked_by_weight():
+    # 1e-320 and 5e-321 key to -inf unscaled, which picked them uniformly; by
+    # weight the heavier comes first 2/3 of the time (0.678 over these seeds)
+    wins = sum(weighted_sample_without_replacement(
+        [0, 1], [1e-320, 5e-321], 1, np.random.default_rng(seed))[0] == 0 for seed in range(6000))
+    assert 0.64 <= wins / 6000 <= 0.70
+
+
 def test_zero_weight_only_after_positive_exhausted():
     rng = np.random.default_rng(3)
     for _ in range(500):
