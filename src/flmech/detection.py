@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Population, SystemConfig
-from .metrics import mean
+from .metrics import exact_sum, mean
 
 
 @dataclass
@@ -108,9 +108,9 @@ def apply_penalties(pop: Population, report: DetectionReport, cfg: SystemConfig)
 def deduct_stakes(stake: np.ndarray, flagged: np.ndarray,
                   lambda_s: float) -> tuple[np.ndarray, float]:
     """Deduct a lambda_s share of each flagged node's stake, not below zero.
-    Returns the new stakes and the total deducted, summed by math.fsum."""
+    Returns the new stakes and the total deducted, summed by exact_sum."""
     kept = stake[flagged]
     deductions = lambda_s * kept
     stake = stake.copy()
     stake[flagged] = np.maximum(0.0, kept - deductions)
-    return stake, math.fsum(deductions.tolist())
+    return stake, exact_sum(deductions)

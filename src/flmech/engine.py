@@ -10,7 +10,6 @@ succeeded, so a failure inside any step leaves the pre-round state in place.
 `flmech verify` commits the rounds it replays through the same call.
 """
 
-import math
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -28,7 +27,7 @@ from .core import (
     PatternKind, Population, RngStream, RoundRecord, SystemConfig, attack_patterns,
     init_population, validate_config,
 )
-from .metrics import gini, jain_index, mean
+from .metrics import exact_sum, gini, jain_index, mean
 from .reputation import qualities, stability, update_reputation, update_reputations  # noqa: F401
 
 
@@ -74,10 +73,10 @@ class WorldState:
             "n_nodes": len(pop),
             "n_honest": int(honest.sum()),
             "n_malicious": int(malicious.sum()),
-            "honest_total_reward": math.fsum(pop.total_reward[honest].tolist()),
-            "malicious_total_reward": math.fsum(pop.total_reward[malicious].tolist()),
-            "honest_mean_reputation": mean(pop.reputation[honest].tolist()),
-            "malicious_mean_reputation": mean(pop.reputation[malicious].tolist()),
+            "honest_total_reward": exact_sum(pop.total_reward[honest]),
+            "malicious_total_reward": exact_sum(pop.total_reward[malicious]),
+            "honest_mean_reputation": mean(pop.reputation[honest]),
+            "malicious_mean_reputation": mean(pop.reputation[malicious]),
             "cumulative_reward_gini": gini(pop.total_reward),
             "honest_reward_gini": gini(pop.total_reward[honest]),
             "publisher_stake_income": self.stake_income,
@@ -188,7 +187,7 @@ def _run_round_steps(state: WorldState) -> tuple[Population, float, RoundRecord]
         timeouts=timeouts,
         jain_fairness=jain,
         gini=g,
-        total_paid=math.fsum(rewards.tolist()),
+        total_paid=exact_sum(rewards),
     )
 
 

@@ -9,18 +9,37 @@ from .core import sigmoid
 # A subnormal below 2**-1048 keeps fewer than 26 of a double's 53 significant
 # bits, too few for a ratio over such values to mean anything.
 _TINY = 2.0 ** -1048
+# Below this many values math.fsum over the list is faster than extraction.
+_EXTRACT_MIN = 512
+
+
+def exact_sum(x) -> float:
+    """Exactly math.fsum(x.tolist()), sign of zero and errors included, by
+    error-free extraction (Rump, Ogita & Oishi 2008): for sigma a power of two
+    >= 2**ceil(log2(n+2)) * max|x|, q = (sigma + x) - sigma and x - q are exact,
+    and so is q.sum() in any order. fsum adds up to four such level sums and
+    what is left; short, all-zero, non-finite and extreme inputs go to fsum."""
+    x = np.asarray(x, dtype=float)
+    peak = float(np.abs(x).max()) if len(x) >= _EXTRACT_MIN else 0.0
+    if not 2.0 ** -900 <= peak <= 2.0 ** 900:
+        return math.fsum(x.tolist())
+    shift, levels = (len(x) + 1).bit_length(), []
+    while peak and len(levels) < 4:
+        sigma = math.ldexp(1.0, math.frexp(peak)[1] + shift)
+        q = (sigma + x) - sigma
+        levels.append(float(q.sum()))
+        x = x - q
+        peak = float(np.abs(x).max())
+    return math.fsum(levels + x.tolist() if peak else levels)
 
 
 def mean(values) -> float:
-    """Arithmetic mean by math.fsum; 0.0 for empty input. An array is summed
-    from its list, since fsum over numpy scalars costs several times more."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return math.fsum(values) / len(values) if len(values) else 0.0
+    """Arithmetic mean by exact_sum; 0.0 for empty input."""
+    return exact_sum(values) / len(values) if len(values) else 0.0
 
 
 def pstd(values) -> float:
-    """Population standard deviation about the mean, both sums by math.fsum;
+    """Population standard deviation about the mean, both sums by exact_sum;
     0.0 for empty input."""
     if not len(values):
         return 0.0
@@ -49,8 +68,8 @@ def _jain_parts(values, eps: float) -> tuple[float, float | None]:
     scaled = _TINY <= peak < 1.0
     if scaled:
         v = np.ldexp(v, -math.frexp(peak)[1])
-    total = math.fsum(v.tolist())
-    sq = math.fsum((v * v).tolist())
+    total = exact_sum(v)
+    sq = exact_sum(v * v)
     return (total * total) / (len(v) * sq + eps), None if scaled else total
 
 
@@ -78,7 +97,7 @@ def gini(values) -> float:
     """
     n = len(values)
     ordered = np.sort(np.asarray(values, dtype=float))
-    total = math.fsum(ordered.tolist())
+    total = exact_sum(ordered)
     if total == 0.0:
         return 0.0
     cum_sum = float(np.cumsum(np.cumsum(ordered))[-1])

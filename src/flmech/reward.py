@@ -7,12 +7,10 @@ committee members collect an extra bonus. Nodes that contributed nothing
 this round earn nothing, bonus included.
 """
 
-import math
-
 import numpy as np
 
 from .core import DomainError, Population, SystemConfig, sigmoid
-from .metrics import jain_index, jain_ratio, mean
+from .metrics import exact_sum, jain_index, jain_ratio, mean
 
 
 def effective_stake(stake, mean_stake: float):
@@ -66,11 +64,11 @@ def allocate_rewards(pop: Population, committee: list[int], cfg: SystemConfig) -
                          cfg.stake_weight)
     beta = 1.0 - alpha
 
-    total_stake = math.fsum(pop.stake.tolist())
+    total_stake = exact_sum(pop.stake)
     mean_stake = total_stake / n
 
     hist_values = decayed_contributions(pop.history, cfg.history_decay, cfg.window)
-    c_total = math.fsum(hist_values.tolist())
+    c_total = exact_sum(hist_values)
 
     members = np.zeros(n, dtype=bool)
     members[committee] = True

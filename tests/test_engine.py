@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flmech import metrics
 from flmech.core import RngStream, Role, SystemConfig, validate_config
 from flmech.engine import iter_rounds, new_world, run_round, run_simulation
 
@@ -392,3 +393,31 @@ def test_round_sums_each_column_once_from_a_list(monkeypatch):
         lengths.clear()
         run_round(state)
         assert lengths.count(n) <= 11
+
+
+def test_round_sums_above_the_cutoff_extract_each_column_once(monkeypatch):
+    # above exact_sum's cutoff a round still takes 11 exact sums over n values,
+    # each by extraction: no column reaches math.fsum as a list of n values
+    n, fsum, exact_sum = metrics._EXTRACT_MIN + 1, math.fsum, metrics.exact_sum
+    fsum_lengths, extracted = [], []
+
+    def list_only_fsum(values):
+        assert not isinstance(values, np.ndarray), "math.fsum given an ndarray"
+        fsum_lengths.append(len(values))
+        return fsum(values)
+
+    def counted_exact_sum(x):
+        extracted.append(len(x))
+        return exact_sum(x)
+
+    monkeypatch.setattr(math, "fsum", list_only_fsum)
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("flmech") and hasattr(m, "exact_sum")]:
+        monkeypatch.setattr(module, "exact_sum", counted_exact_sum)
+    state = new_world(dataclasses.replace(SystemConfig(), n_nodes=n, rounds=12))
+    for _ in range(12):
+        fsum_lengths.clear()
+        extracted.clear()
+        run_round(state)
+        assert 0 < extracted.count(n) <= 11
+        assert n not in fsum_lengths

@@ -1,4 +1,4 @@
-"""Fairness index and Gini coefficient identities and invariances."""
+"""Exact sums, and fairness index and Gini coefficient identities and invariances."""
 
 import math
 import struct
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from flmech.core import sigmoid
-from flmech.metrics import gini, jain_index, jain_ratio, mean
+from flmech.metrics import _EXTRACT_MIN, exact_sum, gini, jain_index, jain_ratio, mean
 
 positive_lists = st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30)
 
@@ -23,6 +23,77 @@ def assume_exact_scaling(values, scale):
 def test_mean_of_array():
     assert mean(np.array([1.0, 2.0])) == 1.5
     assert mean(np.array([])) == 0.0
+
+
+# one value of each kind exact_sum must add as fsum does: the kernels' column
+# elements, subnormals, signed zeros, values spread over 1900 binary exponents
+# (past the extraction's level cap), and non-finite or near-overflow values
+SUM_VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=10.0), st.floats(min_value=0.0, max_value=1e4),
+    st.floats(min_value=0.0, max_value=500.0), st.floats(min_value=0.0, max_value=1e5),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=-sys.float_info.min, max_value=sys.float_info.min),
+    st.sampled_from([0.0, -0.0]),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0),
+              st.integers(min_value=-1000, max_value=899)),
+    st.sampled_from([math.inf, -math.inf, math.nan, sys.float_info.max, -sys.float_info.max,
+                     2.0 ** 900, math.nextafter(2.0 ** 900, math.inf), 2.0 ** -900]),
+)
+# the bulk of an array, from a seeded numpy generator: the values above mostly
+# come as a few drawn cells over it
+SUM_BULKS = {
+    "zero": lambda rng, n: np.zeros(n),
+    "negative zero": lambda rng, n: np.full(n, -0.0),
+    "contribution": lambda rng, n: rng.uniform(0.0, 10.0, n),
+    "gaussian": lambda rng, n: rng.normal(7.0, 1.0, n),
+    "subnormal": lambda rng, n: rng.uniform(-1.0, 1.0, n) * sys.float_info.min,
+    # pairs of about +-1e16 that cancel exactly, over values of order 1
+    "cancelling": lambda rng, n: rng.permutation(np.concatenate(
+        [big := rng.uniform(-1e16, 1e16, n // 3), -big, rng.normal(0.0, 1.0, n - 2 * len(big))])),
+    "spread": lambda rng, n: np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1000, 900, n)),
+    # spread pairs that cancel exactly, so what is left after the level cap is the sum
+    "spread cancelling": lambda rng, n: rng.permutation(np.concatenate(
+        [big := np.ldexp(rng.uniform(-1.0, 1.0, n // 3), rng.integers(-1000, 900, n // 3)),
+         -big, rng.normal(0.0, 1.0, n - 2 * len(big))])),
+    "sparse": lambda rng, n: np.where(rng.random(n) < 0.05, rng.uniform(0.0, 1e4, n), 0.0),
+}
+
+
+@st.composite
+def sum_columns(draw):
+    """An array of a length on either side of exact_sum's cutoff: drawn values
+    repeated to that length, or a seeded bulk with a few drawn cells."""
+    n = draw(st.integers(min_value=0, max_value=2 * _EXTRACT_MIN)
+             | st.sampled_from([_EXTRACT_MIN - 1, _EXTRACT_MIN, _EXTRACT_MIN + 1]))
+    if draw(st.booleans()):
+        return np.resize(np.array(draw(st.lists(SUM_VALUES, min_size=1, max_size=40))), n)
+    bulk = SUM_BULKS[draw(st.sampled_from(sorted(SUM_BULKS)))]
+    x = bulk(np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1))), n)
+    for i, v in draw(st.lists(st.tuples(st.integers(min_value=0, max_value=max(n - 1, 0)),
+                                        SUM_VALUES), max_size=8 if n else 0)):
+        x[i] = v
+    return x
+
+
+def sum_outcome(f, x):
+    """The bits and the sign of f(x), or the class of the error it raises."""
+    try:
+        total = f(x)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return struct.pack("<d", total), math.copysign(1.0, total)
+
+
+@settings(max_examples=600, deadline=None)
+@given(x=sum_columns())
+@example(x=np.full(2 * _EXTRACT_MIN, -0.0))
+@example(x=np.array([]))
+@example(x=np.append(np.linspace(0.5, 1.5, 600), 2.0 ** 900))
+# pairs that cancel over eight levels, so the sum is what the level cap leaves
+@example(x=np.append(np.full(600, 0.1), 2.0 ** np.arange(900, 500, -50) * [[1], [-1]]))
+@example(x=np.full(_EXTRACT_MIN, sys.float_info.max))  # the sum overflows
+def test_exact_sum_is_fsum_of_the_list(x):
+    assert sum_outcome(exact_sum, x) == sum_outcome(lambda v: math.fsum(v.tolist()), x)
 
 
 def outcome(f, values):
