@@ -359,9 +359,10 @@ def cmd_verify(args) -> int:
                 except OverflowError:
                     implied_metrics[t] = []
             stake, stake_deducted = deduct_stakes(pop.stake, detected, cfg.stake_penalty_factor)
-            world.tally_round(replace(pop, reputation=rep, malicious=malicious, stake=stake,
-                                      total_reward=pop.total_reward + reward,
-                                      cooldown=committee.update_cooldowns(pop, members, cfg)),
+            cooldown = committee.update_cooldowns(pop, members, cfg)
+            world.tally_round(pop.with_columns(reputation=rep, malicious=malicious, stake=stake,
+                                               total_reward=pop.total_reward + reward,
+                                               cooldown=cooldown),
                               np.flatnonzero(detected).tolist(), stake_deducted)
         if in_order and finite_ok and rounds_rows == cfg.rounds * n:
             try:

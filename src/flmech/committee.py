@@ -53,6 +53,10 @@ def weighted_sample_without_replacement(candidates, weights, count: int,
     ascending u, so candidates keyed -inf come in uniform order. Weights
     whose largest is below 1/2 are scaled by the exact power of two that
     brings it into [1/2, 1), so a tiny positive weight's key does not overflow.
+
+    The `count`-th largest key is found by one partition, and only the keys
+    at or above it are sorted: the same picks, in the same order, as sorting
+    every key, ties and -inf keys included.
     """
     if count > len(candidates):
         raise SampleError(f"cannot sample {count} from {len(candidates)} candidates")
@@ -62,7 +66,11 @@ def weighted_sample_without_replacement(candidates, weights, count: int,
     if 0.0 < top < 0.5:
         w = np.ldexp(w, -math.frexp(top)[1])
     keys = np.divide(np.log1p(-u), w, out=np.full(len(u), -np.inf), where=w > 0.0)
-    return [candidates[i] for i in np.lexsort((u, -keys))[:count]]
+    if not count:
+        return []
+    kth = len(keys) - count
+    top = np.flatnonzero(keys >= np.partition(keys, kth)[kth])
+    return [candidates[i] for i in top[np.lexsort((u[top], -keys[top]))[:count]]]
 
 
 def select_committee(nodes: Population | Sequence[Node], cfg: SystemConfig,

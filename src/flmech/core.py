@@ -78,7 +78,7 @@ class Population(Sequence):
     row per round, oldest first; every node appends every round, so all
     histories have the same length. `malicious` is the role tag, fixed when
     the population is built. The columns are read-only: a round computes new
-    columns and swaps in a new population (`dataclasses.replace`).
+    columns and swaps them in through `with_columns`.
 
     The population is also a read-only sequence of `Node`s, each built from
     the columns when it is indexed.
@@ -94,6 +94,19 @@ class Population(Sequence):
     def __post_init__(self):
         for f in fields(self):
             getattr(self, f.name).flags.writeable = False
+
+    def with_columns(self, **columns: np.ndarray) -> "Population":
+        """A copy with `columns` swapped in by name, each made read-only; every
+        other column is the same object. An unknown name raises TypeError, as
+        `dataclasses.replace` does."""
+        unknown = columns.keys() - self.__dict__.keys()
+        if unknown:
+            raise TypeError(f"Population has no column {sorted(unknown)[0]!r}")
+        for col in columns.values():
+            col.flags.writeable = False
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **columns)
+        return new
 
     def __len__(self) -> int:
         return len(self.stake)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Population, SystemConfig
-from .metrics import exact_sum, mean
+from .metrics import exact_sum, mean, window_std
 
 
 @dataclass
@@ -44,13 +44,15 @@ class DetectionReport:
 
 
 def _median(values: np.ndarray) -> float:
-    """The middle value, or the mean of the two middle values, by partition
-    (`np.median` would import `numpy.ma`, about 1 MB, on its first call)."""
+    """The middle value, or the mean of the two middle values, by one
+    partition at the upper middle: every value before it is no larger, so
+    the lower middle is their largest (`np.median` would import `numpy.ma`,
+    about 1 MB, on its first call)."""
     mid = len(values) // 2
+    part = np.partition(values, mid)
     if len(values) % 2:
-        return float(np.partition(values, mid)[mid])
-    low, high = np.partition(values, (mid - 1, mid))[mid - 1:mid + 1].tolist()
-    return 0.5 * (low + high)
+        return float(part[mid])
+    return 0.5 * (float(part[:mid].max()) + float(part[mid]))
 
 
 def detect(pop: Population, cfg: SystemConfig) -> DetectionReport:
@@ -60,7 +62,8 @@ def detect(pop: Population, cfg: SystemConfig) -> DetectionReport:
     The population median is over every node's last tau contributions.
     This round's mean and std are `metrics.pstd`'s arithmetic, with the one
     `metrics.mean` serving both. A node's own mean and std are numpy
-    reductions over the round axis.
+    reductions over the round axis, the std taken from that mean
+    (`metrics.window_std`).
     """
     tau = cfg.window
     history = pop.history
@@ -75,10 +78,11 @@ def detect(pop: Population, cfg: SystemConfig) -> DetectionReport:
     round_std = math.sqrt(mean(d * d))
 
     cond1 = window.mean(axis=0) < cfg.theta_low * pop_median
-    cond2 = np.abs(c_now - round_mean) > cfg.theta_fluct * round_std
+    cond2 = np.abs(d) > cfg.theta_fluct * round_std
     prev = history[-(tau + 1):-1]  # the tau rounds before t
-    jump_scale = np.maximum(np.std(prev, axis=0), cfg.eps_std)
-    cond3 = np.abs(c_now - prev.mean(axis=0)) > cfg.theta_jump * jump_scale
+    prev_mean = prev.mean(axis=0)
+    jump_scale = np.maximum(window_std(prev, prev_mean), cfg.eps_std)
+    cond3 = np.abs(c_now - prev_mean) > cfg.theta_jump * jump_scale
     return DetectionReport(cond1, cond2, cond3)
 
 

@@ -117,8 +117,8 @@ def collect_contributions(state: WorldState) -> tuple[Population, np.ndarray, np
         late = tau > cfg.t_max
         c[late] = 0.0
         timeouts = np.flatnonzero(late).tolist()
-    pop = replace(pop, history=np.vstack((pop.history[-cfg.window:], c)),
-                  participation=pop.participation + (c > 0.0))
+    pop = pop.with_columns(history=np.vstack((pop.history[-cfg.window:], c)),
+                           participation=pop.participation + (c > 0.0))
     return pop, c, tau, timeouts
 
 
@@ -161,12 +161,12 @@ def _run_round_steps(state: WorldState) -> tuple[Population, float, RoundRecord]
     penalized = detection_mod.apply_penalties(pop, report, cfg)
     q = qualities(contributions, cfg.c_min, cfg.c_max)
     updated = update_reputations(pop, q, cfg, t)
-    pop = replace(pop, reputation=np.where(report.flagged, penalized.reputation, updated),
-                  stake=penalized.stake)
+    pop = pop.with_columns(reputation=np.where(report.flagged, penalized.reputation, updated),
+                           stake=penalized.stake)
 
     # (6) rewards on post-update reputations (no step reads the new cooldowns)
     rewards = reward_mod.allocate_rewards(pop, selection.members, cfg)
-    pop = replace(pop, cooldown=cooldown, total_reward=pop.total_reward + rewards)
+    pop = pop.with_columns(cooldown=cooldown, total_reward=pop.total_reward + rewards)
 
     # (7) fairness metrics over this round's rewards
     jain = jain_index(rewards, cfg.epsilon)

@@ -33,6 +33,14 @@ def exact_sum(x) -> float:
     return math.fsum(levels + x.tolist() if peak else levels)
 
 
+def window_std(window: np.ndarray, window_mean: np.ndarray) -> np.ndarray:
+    """Population std of each column of the (k, n) `window`, from its column
+    means `window_mean` (`window.mean(axis=0)`) with `np.std`'s own
+    operations, so equal to `np.std(window, axis=0)` bit for bit."""
+    d = window - window_mean
+    return np.sqrt((d * d).sum(axis=0) / len(window))
+
+
 def mean(values) -> float:
     """Arithmetic mean by exact_sum; 0.0 for empty input."""
     return exact_sum(values) / len(values) if len(values) else 0.0

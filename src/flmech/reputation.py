@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .core import DomainError, Node, Population, SystemConfig, sigmoid
-from .metrics import pstd
+from .metrics import pstd, window_std
 
 
 def quality(contribution: float, c_min: float, c_max: float) -> float:
@@ -55,10 +55,12 @@ def stability(window: list[float], tau: int, default_stability: float) -> float:
 
 def stabilities(history: np.ndarray, tau: int, default_stability: float) -> np.ndarray:
     """`stability` of every node from the (k, n) history, with the window's
-    population std taken by numpy over the round axis."""
+    population std taken by numpy over the round axis (`metrics.window_std`)."""
     if len(history) < tau:
         return np.full(history.shape[1], float(default_stability))
-    return np.clip(1.0 - np.std(history[-tau:], axis=0) / tau, 0.0, 1.0)
+    window = history[-tau:]
+    raw = 1.0 - window_std(window, window.mean(axis=0)) / tau
+    return np.minimum(1.0, np.maximum(0.0, raw))
 
 
 def update_reputation(node: Node, q: float, lambda_stab: float,

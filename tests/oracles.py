@@ -49,6 +49,20 @@ def population_from_nodes(nodes: Sequence[Node]) -> Population:
                       malicious=np.array([nd.role is Role.MALICIOUS for nd in nodes], dtype=bool))
 
 
+def sorted_sample(candidates, weights, count: int, rng) -> list:
+    """`committee.weighted_sample_without_replacement` by sorting every key:
+    the same uniforms, weight scaling and Efraimidis-Spirakis keys, and the
+    `count` first by descending key, then ascending u."""
+    u = rng.random(len(candidates))
+    w = np.asarray(weights, dtype=float)
+    top = w.max(initial=0.0)
+    if 0.0 < top < 0.5:
+        w = np.ldexp(w, -math.frexp(top)[1])
+    with np.errstate(over="ignore"):
+        keys = np.divide(np.log1p(-u), w, out=np.full(len(u), -np.inf), where=w > 0.0)
+    return [candidates[i] for i in np.lexsort((u, -keys))[:count]]
+
+
 def penalty(reputation: float, stake: float, lambda_r: float, lambda_s: float) -> float:
     """Penalty amount, capped at half the reputation to avoid over-punishment."""
     return min(lambda_r * reputation + lambda_s * stake, reputation / 2.0)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flmech import cli
+from flmech import cli, engine
 from flmech.cli import METRICS_COLUMNS, ROUNDS_COLUMNS, main
 from flmech.core import (
     ConfigError, Role, RoundRecord, SystemConfig, config_to_dict, validate_config,
@@ -394,6 +394,20 @@ def test_verify_fresh_run_passes(fast_config, tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify", "--out", str(out)]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_commits_read_only_columns_each_round(fast_config, tmp_path, monkeypatch):
+    out = tmp_path / "ro"
+    assert main(["simulate", "--config", str(fast_config), "--out", str(out)]) == 0
+    tally_round, commits = engine.WorldState.tally_round, []
+
+    def checked(world, nodes, detected, stake_deducted):
+        tally_round(world, nodes, detected, stake_deducted)
+        commits.append([name for name, col in vars(world.nodes).items() if col.flags.writeable])
+
+    monkeypatch.setattr(engine.WorldState, "tally_round", checked)
+    assert main(["verify", "--out", str(out)]) == 0
+    assert commits == [[]] * 12
 
 
 def test_verify_detects_conservation_violation(fast_config, tmp_path, capsys):

@@ -18,7 +18,7 @@ from flmech.committee import (
     weighted_sample_without_replacement,
 )
 from flmech.core import Node, SystemConfig
-from oracles import population_from_nodes
+from oracles import population_from_nodes, sorted_sample
 
 
 def make_node(i, reputation=100.0, cooldown=0):
@@ -77,6 +77,47 @@ def test_zero_weight_only_after_positive_exhausted():
         assert 0 not in picks
     picks = weighted_sample_without_replacement([0, 1, 2], [0.0, 5.0, 1.0], 3, rng)
     assert picks[2] == 0  # the zero-weight candidate comes out last
+
+
+class CoarseUniforms:
+    """A generator whose uniforms take only `levels` values, so that equal
+    weights tie in key and in u alike."""
+
+    def __init__(self, seed, levels):
+        self.rng, self.levels = np.random.default_rng(seed), levels
+
+    def random(self, size=None):
+        return np.floor(self.rng.random(size) * self.levels) / self.levels
+
+
+def _weights(kind, length, zero_share, rng):
+    w = {"spread": lambda: rng.random(length) * 300.0,
+         "tied": lambda: rng.choice(rng.random(3) * 300.0, length),
+         "equal": lambda: np.full(length, 7.0),
+         "zero": lambda: np.zeros(length),
+         "tiny": lambda: rng.random(length) * 2.0 ** -1020,
+         "tiny tied": lambda: rng.choice([5e-324, 1e-320, 2.0 ** -1019], length)}[kind]()
+    w[rng.random(length) < zero_share] = 0.0
+    return w
+
+
+@settings(max_examples=400, deadline=None)
+@given(length=st.integers(min_value=1, max_value=2000), data=st.data(),
+       kind=st.sampled_from(["spread", "tied", "equal", "zero", "tiny", "tiny tied"]),
+       zero_share=st.sampled_from([0.0, 0.1, 0.9]), seed=st.integers(0, 2**32 - 1),
+       levels=st.sampled_from([None, 2, 7]))
+def test_sampler_picks_what_sorting_every_key_picks(length, data, kind, zero_share, seed, levels):
+    # the partition takes the same picks, in the same order, as the full sort,
+    # and leaves the generator where the full sort leaves it
+    count = data.draw(st.integers(min_value=0, max_value=length), label="count")
+    weights = _weights(kind, length, zero_share, np.random.default_rng(seed))
+    candidates = np.arange(length) * 3 + 1
+    make = ((lambda: np.random.default_rng(seed)) if levels is None
+            else (lambda: CoarseUniforms(seed, levels)))
+    rng, reference = make(), make()
+    picks = weighted_sample_without_replacement(candidates, weights, count, rng)
+    assert picks == sorted_sample(candidates, weights, count, reference)
+    assert rng.random() == reference.random()
 
 
 def _inclusion_probabilities(weights, count):

@@ -6,6 +6,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,6 +87,32 @@ def test_init_population_rounds_half_up():
                                               malicious_percent=0.15, committee_size=5))
     nodes = init_population(cfg, RngStream(1))
     assert sum(nd.role is Role.MALICIOUS for nd in nodes) == 2
+
+
+def test_with_columns_swaps_in_read_only_columns_and_shares_the_rest():
+    pop = init_population(validate_config(dataclasses.replace(SystemConfig(), n_nodes=6)),
+                          RngStream(2))
+    stake, cooldown = np.arange(6.0), np.full(6, 3)
+    swapped = pop.with_columns(stake=stake, cooldown=cooldown)
+    assert swapped.stake is stake and swapped.cooldown is cooldown
+    assert not stake.flags.writeable and not cooldown.flags.writeable
+    for name in ("reputation", "total_reward", "participation", "history", "malicious"):
+        assert getattr(swapped, name) is getattr(pop, name)
+    assert pop.stake.tolist() == [100.0] * 6 and pop.cooldown.tolist() == [0] * 6
+    assert len(swapped) == 6 and swapped[5].stake == 5.0 and swapped[5].cooldown == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        swapped.stake = np.zeros(6)
+
+
+def test_with_columns_rejects_an_unknown_column_as_replace_does():
+    pop = init_population(validate_config(dataclasses.replace(SystemConfig(), n_nodes=6)),
+                          RngStream(2))
+    with pytest.raises(TypeError):
+        dataclasses.replace(pop, stakes=np.zeros(6))
+    with pytest.raises(TypeError, match="stakes"):
+        pop.with_columns(stakes=np.zeros(6))
+    with pytest.raises(TypeError, match="stakes"):
+        pop.with_columns(stake=np.zeros(6), stakes=np.zeros(6))
 
 
 @settings(max_examples=120, deadline=None)

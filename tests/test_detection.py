@@ -3,9 +3,14 @@
 import dataclasses
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from flmech.core import Node, Role, SystemConfig
-from flmech.detection import DetectionReport, apply_penalties, detect
+from flmech import detection
+from flmech.core import Node, Population, Role, SystemConfig
+from flmech.detection import DetectionReport, _median, apply_penalties, detect
+from flmech.metrics import window_std
+from flmech.reputation import stabilities
 from oracles import penalty, population_from_nodes
 
 CFG = SystemConfig()
@@ -132,3 +137,64 @@ def test_penalties_never_go_negative():
         out = apply_penalties(pop, flagged(True), CFG)
     assert out.reputation[0] >= 0.0
     assert out.stake[0] >= 0.0
+
+
+def middle_of_sorted(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0])
+                | st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=80))
+@example([-0.0, 0.0, -0.0])
+@example([0.0, -0.0, 0.0, -0.0])
+@example([3.0, 3.0, 1.0, 3.0])
+@example([2.5, 1.0, 2.5, 1.0, 2.5])
+def test_median_is_the_middle_of_the_sorted_values(values):
+    # compared by value: a zero's sign may differ from the sorted list's
+    assert _median(np.array(values)) == middle_of_sorted(values)
+
+
+@pytest.mark.parametrize("length", [1999, 2000, 9995, 9996, 10_000, 10_001])
+def test_median_of_a_wide_window_with_ties_and_signed_zeros(length):
+    # window sizes the engine reaches at n = 1999, 2000, through numpy's
+    # vectorised partition kernels
+    rng = np.random.default_rng(length)
+    values = rng.integers(-3, 4, length) * 0.5
+    values[rng.random(length) < 0.2] = -0.0
+    assert _median(values) == middle_of_sorted(values.tolist())
+
+
+@pytest.mark.parametrize("rows", range(1, CFG.window + 2))
+def test_window_stds_are_np_std_bit_for_bit(rows, monkeypatch):
+    rng = np.random.default_rng(rows)
+    n = 2000
+    history = np.clip(rng.normal(rng.uniform(0, 10, n), rng.uniform(0, 3, n), (rows, n)), 0, 10)
+    history[:, :100] = 7.3
+    history[:, 100:200] = rng.choice([0.0, 9.5], (rows, 100))
+    assert (window_std(history, history.mean(axis=0)).tobytes()
+            == np.std(history, axis=0).tobytes())
+    for tau in {rows, CFG.window}:
+        expected = (np.clip(1.0 - np.std(history[-tau:], axis=0) / tau, 0.0, 1.0)
+                    if rows >= tau else np.full(n, CFG.default_stability))
+        assert (stabilities(history, tau, CFG.default_stability).tobytes()
+                == expected.tobytes())
+
+    # detect's jump scale: the std of the tau rounds before this one
+    scales = []
+
+    def recorded(window, window_mean):
+        scales.append((window, window_std(window, window_mean)))
+        return scales[-1][1]
+
+    monkeypatch.setattr(detection, "window_std", recorded)
+    detect(Population(stake=np.full(n, 100.0), reputation=np.full(n, 100.0),
+                      total_reward=np.zeros(n), participation=np.zeros(n, dtype=np.int64),
+                      cooldown=np.zeros(n, dtype=np.int64), history=history,
+                      malicious=np.zeros(n, dtype=bool)), CFG)
+    assert len(scales) == (rows >= 2)
+    for window, scale in scales:
+        assert np.array_equal(window, history[-(CFG.window + 1):-1])
+        assert scale.tobytes() == np.std(window, axis=0).tobytes()

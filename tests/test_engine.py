@@ -194,6 +194,14 @@ def test_round_counter_and_bounded_history():
                                            for rec in records[-(cfg.window + 1):]]
 
 
+def test_every_column_is_read_only_after_each_round():
+    state = new_world(dataclasses.replace(FAST, t_max=1.0), seed=3)
+    while state.t < state.cfg.rounds:
+        run_round(state)
+        for f in dataclasses.fields(state.nodes):
+            assert not getattr(state.nodes, f.name).flags.writeable, (state.t, f.name)
+
+
 def test_timeout_zeroes_contribution_and_logs():
     # tau is uniform on [0.5, 1.5]; a deadline of 1.0 forces about half of
     # the submissions to time out and be recorded as zero contributions
