@@ -17,6 +17,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -35,7 +36,7 @@ from .detection import deduct_stakes
 # `run_simulation` is not called here; it stays a name of this module because
 # bench/spans.py wraps `cli.run_simulation` by that name.
 from .engine import WorldState, iter_rounds, new_world, run_simulation  # noqa: F401
-from .metrics import gini, jain_index, mean
+from .metrics import exact_sum, gini, jain_index, mean
 from .reputation import qualities
 
 SCHEMA_VERSION = 1
@@ -302,6 +303,14 @@ def cmd_verify(args) -> int:
 
     n = cfg.n_nodes
     bound = cfg.reward_pool + cfg.committee_size * cfg.committee_bonus
+    # A round's exact pay total exceeds the exact pool plus bonuses only by
+    # rounding. With u = 2**-53: the shares divided by rounded totals, alpha
+    # and 1 - alpha, and the products give at most 6u; each fairness factor's
+    # Jain ratio at most 8u, and its product with the sigmoid u; the last
+    # product and add 2u. With the two roundings in `bound`, the total stays
+    # below bound * (1 + 19u) < bound + 19 ulp(bound). 32 ulps spare the
+    # second-order terms; at the default bound of 1400 that is 7.3e-12.
+    pay_limit = bound + 32 * math.ulp(bound)
     caps_ok = override_ok = finite_ok = quality_ok = in_order = metrics_in_order = True
     paid_ok = size_ok = gap_ok = penalty_ok = metrics_ok = True
     # the metrics.csv row each whole, in-order round of rounds.csv implies, at
@@ -341,7 +350,10 @@ def cmd_verify(args) -> int:
                 continue
             pop = world.nodes
             members, detected = np.flatnonzero(committee_col), np.array(detected_col, dtype=bool)
-            paid_ok &= float(reward.sum()) <= bound + 1e-9
+            try:
+                paid_ok &= exact_sum(reward) <= pay_limit
+            except (OverflowError, ValueError):  # the total overflows, or adds inf to -inf
+                paid_ok = False
             size_ok &= members.size <= cfg.committee_size
             # off cooldown: no committee seat within cooldown_period rounds before t
             gap_ok &= bool(np.all(pop.cooldown[members] == 0))

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -413,12 +414,18 @@ def test_verify_commits_read_only_columns_each_round(fast_config, tmp_path, monk
 def test_verify_detects_conservation_violation(fast_config, tmp_path, capsys):
     out = tmp_path / "vc"
     main(["simulate", "--config", str(fast_config), "--out", str(out)])
-    edit_first_row(out / "rounds.csv", reward="99999.0")  # exceeds pool + committee bonuses
-    rehash(out, "rounds.csv")
-
-    assert main(["verify", "--out", str(out)]) == 1
-    report = capsys.readouterr().out
-    assert "FAIL reward_conservation_per_round" in report
+    reward = ROUNDS_COLUMNS.index("reward")
+    paid = [float(row[reward]) for row in read_rows(out / "rounds.csv")[1:31]]  # round 0
+    # node 0's reward far over the pool plus committee bonuses (1400), then
+    # raised so that round 0 pays 1400 * (1 + 1e-6): a millionth over, which
+    # is far more than the rounding verify allows for
+    for cell in ["99999.0", repr(paid[0] + 1400.0 * (1 + 1e-6) - math.fsum(paid))]:
+        edit_first_row(out / "rounds.csv", reward=cell)
+        rehash(out, "rounds.csv")
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        report = capsys.readouterr().out
+        assert "FAIL reward_conservation_per_round" in report
 
 
 def test_verify_fails_nan_reward_and_reputation(fast_config, tmp_path, capsys):
@@ -479,6 +486,15 @@ CAPS = st.floats(min_value=0.0, max_value=500.0)
 # subnormal weights overflowed the committee's sampling keys
 @example(cfg=SystemConfig(n_nodes=12, rounds=10, gamma=1.0, eta_switch=2, committee_size=3),
          caps=(1e-320, 1e-320))
+# a round's numpy sum of pay went over the bound by more than 1e-9, one ulp
+# of the bound, at a pool of 1e9
+@example(cfg=SystemConfig(n_nodes=20, rounds=40, malicious_percent=0.0, reward_pool=1e9, seed=0),
+         caps=(300.0, 500.0))
+# without committee bonuses, rounds 27 and 29 pay an exact total one ulp over
+# the bound of 1e9, so no fixed slack under that ulp would pass them
+@example(cfg=SystemConfig(n_nodes=50, rounds=30, malicious_percent=0.0, reward_pool=1e9,
+                          committee_bonus=0.0, seed=0),
+         caps=(300.0, 500.0))
 def test_every_accepted_config_runs_and_passes_verify(cfg, caps):
     """Either validate_config rejects a config, or simulate and verify both
     exit 0 on it. The two caps are drawn independently, every other field as
@@ -794,11 +810,12 @@ def _set_cells(column, cells):
 
 
 @pytest.mark.parametrize("edit, failed", [
-    # conservation bounds a round's pay from above only, so here only the
-    # recomputations fail; they must not skip the round as they skip one
-    # with a non-finite cell
+    # the round's exact pay total overflows, so conservation fails with the
+    # recomputations; they must not skip the round as they skip one with a
+    # non-finite cell
     (_set_cells("reward", {0: "-1e308", 1: "-1e308"}),
-     ["metrics_recomputed_from_rounds (round 0: overflow)",
+     ["reward_conservation_per_round (<= 1400.0)",
+      "metrics_recomputed_from_rounds (round 0: overflow)",
       "summary_recomputed_from_rounds (overflow)"]),
     (_set_cells("reward", {0: "1e308", 1: "1e308"}),
      ["reward_conservation_per_round (<= 1400.0)",

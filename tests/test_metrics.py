@@ -3,6 +3,7 @@
 import math
 import struct
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,33 @@ SUM_VALUES = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, sys.float_info.max, -sys.float_info.max,
                      2.0 ** 900, math.nextafter(2.0 ** 900, math.inf), 2.0 ** -900]),
 )
+
+
+def near_tie(rng, n):
+    """Values on a 2**-20 grid, so their numpy total t is exact, then half an
+    ulp of t and a push of 2**-60 to 2**-119 either way: the exact total lies
+    just off a rounding midpoint, most often within the first level's
+    stopping bound of it."""
+    x = np.floor(rng.uniform(0.0, 10.0, n) * 2.0 ** 20) / 2.0 ** 20
+    if n >= 2:
+        push = rng.choice([-1, 1]) * 2.0 ** -rng.integers(60, 120)
+        x[-2:] = math.ulp(float(x[:-2].sum())) / 2, push
+    return rng.permutation(x)
+
+
+def tie_within_rounding(seed):
+    """1.0, then values in [2**-44, 2**-43) that the first level leaves whole
+    in its residual, the last set so that the exact total lies within 2**-97
+    of a rounding midpoint: closer than the rounding of numpy's sum of the
+    residual may be."""
+    x = np.random.default_rng(seed).uniform(2.0 ** -44, 2.0 ** -43, _EXTRACT_MIN)
+    x[0] = 1.0
+    rest, ulp = sum(map(Fraction, x[:-1])), Fraction(2) ** -52
+    # the midpoint after 1.0 at or just below rest + 1.5 * 2**-44
+    x[-1] = (rest + Fraction(3, 2 ** 45) - 1) // ulp * ulp + 1 + ulp / 2 - rest
+    return x
+
+
 # the bulk of an array, from a seeded numpy generator: the values above mostly
 # come as a few drawn cells over it
 SUM_BULKS = {
@@ -56,6 +84,7 @@ SUM_BULKS = {
         [big := np.ldexp(rng.uniform(-1.0, 1.0, n // 3), rng.integers(-1000, 900, n // 3)),
          -big, rng.normal(0.0, 1.0, n - 2 * len(big))])),
     "sparse": lambda rng, n: np.where(rng.random(n) < 0.05, rng.uniform(0.0, 1e4, n), 0.0),
+    "near tie": near_tie,
 }
 
 
@@ -92,6 +121,18 @@ def sum_outcome(f, x):
 # pairs that cancel over eight levels, so the sum is what the level cap leaves
 @example(x=np.append(np.full(600, 0.1), 2.0 ** np.arange(900, 500, -50) * [[1], [-1]]))
 @example(x=np.full(_EXTRACT_MIN, sys.float_info.max))  # the sum overflows
+# the first level's residual sum 2**-53 sits on the midpoint after 1.0, and
+# 2**-120 is within the stopping bound of it: fsum rounds up to 1 + 2**-52
+@example(x=np.append([1.0, 2.0 ** -53, 2.0 ** -120], np.zeros(_EXTRACT_MIN - 3)))
+# the exact total is a midpoint, which fsum rounds to even, and numpy's sum of
+# the first residual lies 2**-88 above it: a stopping bound 2**15 times too
+# small stops there and rounds up
+@example(x=tie_within_rounding(40))
+# nonzero values that cancel to an exact zero, which no level may stop at
+@example(x=np.resize([0.1, 1e-20, -0.1, -1e-20], _EXTRACT_MIN))
+# a midpoint of 2**-900 pushed up by 2**-1074: the residuals go subnormal and
+# the third level's bound underflows to its n * 2**-1074 term
+@example(x=np.append([2.0 ** -900, 2.0 ** -953, 2.0 ** -1074], np.zeros(_EXTRACT_MIN - 3)))
 def test_exact_sum_is_fsum_of_the_list(x):
     assert sum_outcome(exact_sum, x) == sum_outcome(lambda v: math.fsum(v.tolist()), x)
 
