@@ -29,8 +29,8 @@ import numpy as np
 from . import committee
 from .contract import DegenerateContract, optimal_contract_closed_form, solve_constrained
 from .core import (
-    _CONFIG_FIELDS, ConfigError, DomainError, Role, RoundRecord, SystemConfig, _parse_value,
-    config_from_dict, config_to_dict, load_config, validate_config,
+    _CONFIG_FIELDS, ConfigError, DomainError, Role, RoundRecord, SystemConfig, _format_schedule,
+    _parse_value, config_from_dict, config_to_dict, load_config, validate_config,
 )
 from .detection import deduct_stakes
 # `run_simulation` is not called here; it stays a name of this module because
@@ -197,10 +197,13 @@ def cmd_sweep(args) -> int:
     with (out_dir / "sweep.csv").open("w", newline="") as fh:
         sweep_csv = _csv_writer(fh, keys + ["seed"] + METRICS_COLUMNS)
         for combo, point_cfg in zip(combos, point_cfgs):
+            # a schedule cell is written in the config grammar that --grid reads
+            cells = [_format_schedule(v) if k == "attack_schedule" and v else v
+                     for k, v in zip(keys, combo)]
             for seed in seeds:
                 state = new_world(point_cfg, seed=seed)
                 malicious = state.nodes.malicious
-                sweep_csv.writerows([*combo, seed, *_metrics_row(
+                sweep_csv.writerows([*cells, seed, *_metrics_row(
                     rec.round, rec.jain_fairness, rec.gini, len(rec.detected),
                     rec.reputation_after, rec.rewards, ~malicious, malicious)]
                     for rec in iter_rounds(state))

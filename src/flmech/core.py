@@ -361,6 +361,11 @@ def _parse_schedule(raw: str) -> list[tuple[int, int, str]]:
     return phases
 
 
+def _format_schedule(table) -> str:
+    """The `start:end:pattern` text of a phase table, read back by _parse_schedule."""
+    return ",".join(":".join(map(str, phase)) for phase in table)
+
+
 def load_config(path: str | Path) -> SystemConfig:
     """Load a `key = value` config file into a validated SystemConfig.
 
@@ -406,7 +411,7 @@ def config_from_dict(data: dict) -> SystemConfig:
             raise ConfigError(f"unknown config key '{key}'")
         if (key == "attack_schedule" and isinstance(value, list)
                 and all(isinstance(phase, (list, tuple)) for phase in value)):
-            value = ",".join(":".join(map(str, phase)) for phase in value)
+            value = _format_schedule(value)
         values[key] = _parse_value(key, str(value))
     return validate_config(replace(SystemConfig(), **values))
 

@@ -16,39 +16,33 @@ _EXTRACT_MIN = 256
 
 def exact_sum(x) -> float:
     """Exactly math.fsum(x.tolist()), sign of zero and errors included, by
-    error-free extraction (Rump, Ogita & Oishi 2008): for sigma = 2**e >=
+    one error-free extraction (Rump, Ogita & Oishi 2008): for sigma = 2**e >=
     2**ceil(log2(n+2)) * max|x|, q = (sigma + x) - sigma and r = x - q are
     exact, every |r_i| <= 2**(e-53), and q.sum() is exact in any order.
 
-    Each level then stops as soon as the residual's plain sum rs proves the
-    rounding. Any summation order gives |rs - sum(r)| <= gamma(n-1) * sum|r_i|
-    < n*n * 2**(e-106) (an addition that underflows is exact), so with
-    bound = n*n * 2**(e-105) + n * 2**-1074, even after rs -+ bound is
-    rounded, lo = rs - bound < sum(r) < rs + bound = hi. fsum rounds correctly,
-    hence monotonically: if fsum(levels + [lo]) == fsum(levels + [hi]), the
-    exact total rounds to that value. An exact-zero total never passes, since
-    lo and hi make the two totals nonzero multiples of 2**-1074 of opposite
-    signs, and goes on to fsum's own zero. Otherwise up to four levels run,
-    then fsum adds the level sums and what is left. Short, all-zero,
-    non-finite and extreme inputs go to fsum whole."""
+    The residual's plain sum rs then proves the rounding, or the input goes
+    to fsum whole. Any summation order gives |rs - sum(r)| <= gamma(n-1) *
+    sum|r_i| < n*n * 2**(e-106) (an addition that underflows is exact), so
+    with bound = n*n * 2**(e-105) + n * 2**-1074, even after rs -+ bound is
+    rounded, lo = rs - bound < sum(r) < rs + bound = hi. fsum rounds
+    correctly, hence monotonically: if fsum([q.sum(), lo]) ==
+    fsum([q.sum(), hi]), the exact total rounds to that value. An exact-zero
+    total never passes, since lo and hi make the two totals nonzero multiples
+    of 2**-1074 of opposite signs, so fsum gives its sign of zero. Short,
+    all-zero, non-finite and extreme inputs go to fsum whole too."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     peak = float(np.abs(x).max()) if n >= _EXTRACT_MIN else 0.0
-    if not 2.0 ** -900 <= peak <= 2.0 ** 900:
-        return math.fsum(x.tolist())
-    shift, levels = (n + 1).bit_length(), []
-    while peak and len(levels) < 4:
-        e = math.frexp(peak)[1] + shift
+    if 2.0 ** -900 <= peak <= 2.0 ** 900:
+        e = math.frexp(peak)[1] + (n + 1).bit_length()
         sigma = math.ldexp(1.0, e)
         q = (sigma + x) - sigma
-        levels.append(float(q.sum()))
-        x = x - q
-        rs, bound = float(x.sum()), math.ldexp(n * n, e - 105) + math.ldexp(n, -1074)
-        lo = math.fsum(levels + [rs - bound])
-        if lo == math.fsum(levels + [rs + bound]):
+        level, rs = float(q.sum()), float((x - q).sum())
+        bound = math.ldexp(n * n, e - 105) + math.ldexp(n, -1074)
+        lo = math.fsum([level, rs - bound])
+        if lo == math.fsum([level, rs + bound]):
             return lo
-        peak = float(np.abs(x).max())
-    return math.fsum(levels + x.tolist() if peak else levels)
+    return math.fsum(x.tolist())
 
 
 def window_std(window: np.ndarray, window_mean: np.ndarray) -> np.ndarray:

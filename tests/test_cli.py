@@ -20,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 from flmech import cli, engine
 from flmech.cli import METRICS_COLUMNS, ROUNDS_COLUMNS, main
 from flmech.core import (
-    ConfigError, Role, RoundRecord, SystemConfig, config_to_dict, validate_config,
+    ConfigError, Role, RoundRecord, SystemConfig, _format_schedule, _parse_value, config_to_dict,
+    validate_config,
 )
 from flmech.engine import new_world
 from test_oracles import configs
@@ -246,22 +247,30 @@ def test_sweep_grid(fast_config, tmp_path):
 
 def test_sweep_grid_values_parse_like_config_file(fast_config, tmp_path):
     # grid tokens take the config file's typed parser: ints for int fields,
-    # none, and floats for float fields even when written as integers
+    # none, floats for float fields even when written as integers, and one
+    # start:end:pattern phase per attack_schedule value, since the grid splits
+    # on commas; a schedule cell is written back in that grammar
     out = tmp_path / "sweep_typed"
     rc = main(["sweep", "--config", str(fast_config),
                "--grid", "committee_size=3,5",
                "--grid", "t_max=none,1.0",
                "--grid", "reward_pool=600",
+               "--grid", "attack_schedule=0:12:zero,0:12:false_high",
                "--seeds", "0", "--out", str(out)])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["grid"] == {"committee_size": [3, 5],
+    assert manifest["grid"] == {"attack_schedule": [[[0, 12, "zero"]], [[0, 12, "false_high"]]],
+                                "committee_size": [3, 5],
                                 "reward_pool": [600.0], "t_max": [None, 1.0]}
     rows = read_rows(out / "sweep.csv")
-    assert rows[0][:3] == ["committee_size", "reward_pool", "t_max"]
-    assert len(rows) == 1 + 4 * 12
-    assert {tuple(r[:3]) for r in rows[1:]} == {
-        (size, "600.0", t_max) for size in ("3", "5") for t_max in ("", "1.0")}
+    assert rows[0][:4] == ["attack_schedule", "committee_size", "reward_pool", "t_max"]
+    assert len(rows) == 1 + 8 * 12
+    schedules = ("0:12:zero", "0:12:false_high")
+    assert {tuple(r[:4]) for r in rows[1:]} == {
+        (schedule, size, "600.0", t_max)
+        for schedule in schedules for size in ("3", "5") for t_max in ("", "1.0")}
+    assert [_parse_value("attack_schedule", cell) for cell in schedules] == [
+        [(0, 12, "zero")], [(0, 12, "false_high")]]
 
 
 def test_sweep_empty_grid_single_run(fast_config, tmp_path):
@@ -470,7 +479,7 @@ def config_text(cfg: SystemConfig) -> str:
     lines = []
     for key, value in config_to_dict(cfg).items():
         if key == "attack_schedule" and value is not None:
-            value = ",".join(":".join(map(str, phase)) for phase in value)
+            value = _format_schedule(value)
         lines.append(f"{key} = {'none' if value is None else value}")
     return "\n".join(lines) + "\n"
 

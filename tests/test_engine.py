@@ -405,8 +405,10 @@ def test_round_sums_each_column_once_from_a_list(monkeypatch):
 
 def test_round_sums_above_the_cutoff_extract_each_column_once(monkeypatch):
     # above exact_sum's cutoff a round still takes 11 exact sums over n values,
-    # each by extraction: no column reaches math.fsum as a list of n values
-    n, fsum, exact_sum = metrics._EXTRACT_MIN + 1, math.fsum, metrics.exact_sum
+    # each certified after one extraction: no column reaches math.fsum as its
+    # whole list of n values, neither just above the cutoff nor at the
+    # benchmark's wide_population width
+    fsum, exact_sum = math.fsum, metrics.exact_sum
     fsum_lengths, extracted = [], []
 
     def list_only_fsum(values):
@@ -422,10 +424,11 @@ def test_round_sums_above_the_cutoff_extract_each_column_once(monkeypatch):
     for module in [m for name, m in sys.modules.items()
                    if name.startswith("flmech") and hasattr(m, "exact_sum")]:
         monkeypatch.setattr(module, "exact_sum", counted_exact_sum)
-    state = new_world(dataclasses.replace(SystemConfig(), n_nodes=n, rounds=12))
-    for _ in range(12):
-        fsum_lengths.clear()
-        extracted.clear()
-        run_round(state)
-        assert 0 < extracted.count(n) <= 11
-        assert n not in fsum_lengths
+    for n in (metrics._EXTRACT_MIN + 1, 2000):
+        state = new_world(dataclasses.replace(SystemConfig(), n_nodes=n, rounds=12))
+        for _ in range(12):
+            fsum_lengths.clear()
+            extracted.clear()
+            run_round(state)
+            assert 0 < extracted.count(n) <= 11
+            assert n not in fsum_lengths

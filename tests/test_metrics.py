@@ -28,7 +28,7 @@ def test_mean_of_array():
 
 # one value of each kind exact_sum must add as fsum does: the kernels' column
 # elements, subnormals, signed zeros, values spread over 1900 binary exponents
-# (past the extraction's level cap), and non-finite or near-overflow values
+# (far past what one extraction resolves), and non-finite or near-overflow values
 SUM_VALUES = st.one_of(
     st.floats(min_value=0.0, max_value=10.0), st.floats(min_value=0.0, max_value=1e4),
     st.floats(min_value=0.0, max_value=500.0), st.floats(min_value=0.0, max_value=1e5),
@@ -79,7 +79,7 @@ SUM_BULKS = {
     "cancelling": lambda rng, n: rng.permutation(np.concatenate(
         [big := rng.uniform(-1e16, 1e16, n // 3), -big, rng.normal(0.0, 1.0, n - 2 * len(big))])),
     "spread": lambda rng, n: np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1000, 900, n)),
-    # spread pairs that cancel exactly, so what is left after the level cap is the sum
+    # spread pairs that cancel exactly, so the values of order 1 make the sum
     "spread cancelling": lambda rng, n: rng.permutation(np.concatenate(
         [big := np.ldexp(rng.uniform(-1.0, 1.0, n // 3), rng.integers(-1000, 900, n // 3)),
          -big, rng.normal(0.0, 1.0, n - 2 * len(big))])),
@@ -135,6 +135,26 @@ def sum_outcome(f, x):
 @example(x=np.append([2.0 ** -900, 2.0 ** -953, 2.0 ** -1074], np.zeros(_EXTRACT_MIN - 3)))
 def test_exact_sum_is_fsum_of_the_list(x):
     assert sum_outcome(exact_sum, x) == sum_outcome(lambda v: math.fsum(v.tolist()), x)
+
+
+@pytest.mark.parametrize("x", [tie_within_rounding(40),
+                               np.resize([0.1, 1e-20, -0.1, -1e-20], _EXTRACT_MIN)],
+                         ids=["midpoint", "exact zero"])
+def test_an_uncertified_sum_goes_to_fsum_whole(monkeypatch, x):
+    # one extraction cannot prove these roundings (a midpoint that numpy's
+    # residual sum misses, and an exact zero), so after its two certification
+    # sums exact_sum hands math.fsum the whole list, once, and takes no second level
+    fsum, calls = math.fsum, []
+
+    def recorded_fsum(values):
+        calls.append(list(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", recorded_fsum)
+    total = exact_sum(x)
+    assert [len(values) for values in calls] == [2, 2, len(x)]
+    assert calls[-1] == x.tolist()
+    assert struct.pack("<d", total) == struct.pack("<d", fsum(x.tolist()))
 
 
 def outcome(f, values):

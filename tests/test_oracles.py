@@ -12,6 +12,7 @@ window std that the engine takes with numpy and the reference with
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -39,14 +40,24 @@ def attack_tables(draw, rounds):
     return [(start, end, draw(st.sampled_from(PATTERNS))) for start, end in zip(bounds, bounds[1:])]
 
 
+def log_uniform(lo: float, hi: float):
+    """Floats in [lo, hi] whose logarithm is uniform."""
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(
+        lambda e: min(max(10.0 ** e, lo), hi))
+
+
 @st.composite
 def configs(draw):
-    """A small valid config with random mechanism parameters, and either the
-    default attack schedule or an explicit table."""
+    """A small valid config with random mechanism parameters, money and
+    initial reputation, and either the default attack schedule or an
+    explicit table."""
     n = draw(st.integers(min_value=1, max_value=12))
     rounds = draw(st.integers(min_value=0, max_value=15))
     r_max_early = draw(st.floats(min_value=100.0, max_value=300.0))
     unit = st.floats(min_value=0.0, max_value=1.0)
+    # money over many magnitudes, within validate_config's finiteness limits
+    # at this size, so pools from 1e-6 to 1e100 meet verify's pay bound too
+    money = st.just(0.0) | log_uniform(1e-6, 1e100)
     explicit = draw(st.booleans())
     return SystemConfig(
         n_nodes=n, rounds=rounds, seed=draw(st.integers(min_value=0, max_value=2**32)),
@@ -66,6 +77,8 @@ def configs(draw):
         r_max_late=draw(st.floats(min_value=r_max_early, max_value=500.0)),
         r_max_switch_round=draw(st.integers(min_value=0, max_value=15)),
         t_max=draw(st.sampled_from([None, 0.8, 1.2])),
+        reward_pool=draw(money), committee_bonus=draw(money), initial_stake=draw(money),
+        initial_reputation=draw(log_uniform(1e-6, 300.0)),
         eta_switch=0 if explicit else draw(st.integers(min_value=0, max_value=rounds)),
         attack_schedule=draw(attack_tables(rounds)) if explicit else None,
     )
