@@ -89,7 +89,7 @@ def select_committee(nodes: Population | Sequence[Node], cfg: SystemConfig,
         cooldown = np.array([nd.cooldown for nd in nodes])
     n, L, K = len(reputation), cfg.strata, cfg.committee_size
     weight = reputation ** cfg.gamma
-    ranked = np.lexsort((np.arange(n), -reputation))
+    ranked = np.argsort(-reputation, kind="stable")
     eligible_by_rank = cooldown[ranked] == 0
 
     picked: list[int] = []
@@ -110,8 +110,7 @@ def select_committee(nodes: Population | Sequence[Node], cfg: SystemConfig,
         pool_mask[picked] = False
         pool = np.flatnonzero(pool_mask)
         take = min(K - len(picked), pool.size)
-        if take > 0:
-            picked.extend(weighted_sample_without_replacement(pool, weight[pool], take, rng))
+        picked.extend(weighted_sample_without_replacement(pool, weight[pool], take, rng))
     return CommitteeSelection(members=[int(i) for i in picked], undersized=len(picked) < K)
 
 

@@ -248,7 +248,7 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         if not (0.0 <= getattr(cfg, name) <= 1.0):
             problems.append(f"{name}: must lie in [0,1]")
     # Every exact sum a run takes must stay finite, with a factor 2 to spare
-    # for rounding. A round pays at most `pay` in all; jain_ratio squares and
+    # for rounding. A round pays at most `pay` in all; jain_factors squares and
     # sums the reputations and a round's rewards, the square sum times n; and
     # gini over the run's reward totals adds up to n times their sum.
     n = cfg.n_nodes

@@ -129,19 +129,6 @@ def run_round(state: WorldState) -> RoundRecord:
     when every step has succeeded."""
     if state.t >= state.cfg.rounds:
         raise ValueError(f"round {state.t} out of range; run has {state.cfg.rounds} rounds")
-    nodes, stake_deducted, record = _run_round_steps(state)
-    state.tally_round(nodes, record.detected, stake_deducted)
-    return record
-
-
-def iter_rounds(state: WorldState) -> Iterator[RoundRecord]:
-    """Run the remaining rounds, yielding each record as its round finishes.
-    Nothing keeps the records, so memory stays bounded by the population."""
-    while state.t < state.cfg.rounds:
-        yield run_round(state)
-
-
-def _run_round_steps(state: WorldState) -> tuple[Population, float, RoundRecord]:
     cfg, t = state.cfg, state.t
 
     # (1) contributions
@@ -172,8 +159,8 @@ def _run_round_steps(state: WorldState) -> tuple[Population, float, RoundRecord]
     jain = jain_index(rewards, cfg.epsilon)
     g = gini(rewards)
 
-    # (8) audit record
-    return pop, penalized.stake_deducted, RoundRecord(
+    # (8) audit record, then the commit
+    record = RoundRecord(
         round=t,
         committee=sorted(selection.members),
         undersized_committee=selection.undersized,
@@ -189,6 +176,15 @@ def _run_round_steps(state: WorldState) -> tuple[Population, float, RoundRecord]
         gini=g,
         total_paid=exact_sum(rewards),
     )
+    state.tally_round(pop, record.detected, penalized.stake_deducted)
+    return record
+
+
+def iter_rounds(state: WorldState) -> Iterator[RoundRecord]:
+    """Run the remaining rounds, yielding each record as its round finishes.
+    Nothing keeps the records, so memory stays bounded by the population."""
+    while state.t < state.cfg.rounds:
+        yield run_round(state)
 
 
 def run_simulation(cfg: SystemConfig, seed: int | None = None) -> WorldState:

@@ -68,43 +68,36 @@ def pstd(values) -> float:
     return math.sqrt(mean(d * d))
 
 
-def jain_ratio(values, eps: float = 1e-8) -> float:
-    """The classic fairness ratio (sum)^2 / (n * sum of squares + eps).
+def jain_factors(values, eps: float) -> tuple[float, float]:
+    """The two factors of the fairness index: the classic ratio
+    (sum)^2 / (n * sum of squares + eps), and sigmoid(mean / 10), which
+    makes low-valued allocations score lower. An empty input gives
+    (0.0, 0.5).
 
     The ratio is scale invariant, but eps is not: values below 1 are first
     scaled by an exact power of two so that the largest lies in [0.5, 1),
     which keeps their squares from going subnormal and eps from swamping
     them. Values whose largest magnitude is below 2**-1048 are not scaled;
-    their squares underflow, and they score 0 like all-zero input.
+    their squares underflow, and they score 0 like all-zero input. The mean
+    reuses the ratio's total unless the values were scaled.
     """
-    return _jain_parts(values, eps)[0]
-
-
-def _jain_parts(values, eps: float) -> tuple[float, float | None]:
-    """(jain_ratio of the values, their exact total), the total None when
-    the values were rescaled, since it is then not the values' own."""
-    v = np.asarray(values, dtype=float)
-    peak = float(np.abs(v).max()) if v.size else 0.0
+    x = np.asarray(values, dtype=float)
+    n = len(x)
+    peak = float(np.abs(x).max()) if n else 0.0
     scaled = _TINY <= peak < 1.0
-    if scaled:
-        v = np.ldexp(v, -math.frexp(peak)[1])
+    v = np.ldexp(x, -math.frexp(peak)[1]) if scaled else x
     total = exact_sum(v)
     sq = exact_sum(v * v)
-    return (total * total) / (len(v) * sq + eps), None if scaled else total
+    # an empty input's total is 0.0, so max() only guards the division
+    m = mean(x) if scaled else total / max(n, 1)
+    return (total * total) / (n * sq + eps), sigmoid(m / 10.0)
 
 
 def jain_index(values, eps: float = 1e-8) -> float:
-    """Fairness index: the jain_ratio of the values, scaled by a sigmoid of
-    the mean so low-valued allocations score lower.
-
-    Equal positive values give the pure ratio 1; the result is then
-    sigmoid(mean/10) of that. All-zero input scores 0. The mean reuses the
-    ratio's total unless the ratio rescaled the values.
-    """
-    ratio, total = _jain_parts(values, eps)
-    # an empty input's total is 0.0, so max() only guards the division
-    m = mean(values) if total is None else total / max(len(values), 1)
-    return ratio * sigmoid(m / 10.0)
+    """Fairness index: the product of jain_factors. Equal positive values
+    give the pure ratio 1, so sigmoid(mean/10); all-zero input scores 0."""
+    ratio, weight = jain_factors(values, eps)
+    return ratio * weight
 
 
 def gini(values) -> float:

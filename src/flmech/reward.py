@@ -10,7 +10,7 @@ this round earn nothing, bonus included.
 import numpy as np
 
 from .core import DomainError, Population, SystemConfig, sigmoid
-from .metrics import exact_sum, jain_index, jain_ratio, mean
+from .metrics import exact_sum, jain_factors, jain_index, mean
 
 
 def effective_stake(stake, mean_stake: float):
@@ -39,14 +39,12 @@ def alpha_weight(mean_reputation: float, initial_reputation: float,
     return sigmoid((mean_reputation - initial_reputation) / f_scale) * stake_weight
 
 
-def committee_bonus(member_reputations: list[float], base_bonus: float, eps: float) -> float:
-    """Bonus paid to each committee member: the base bonus scaled by a
-    fairness index over the committee's reputations. Zero for an empty
-    committee."""
-    if not member_reputations:
-        return 0.0
-    return base_bonus * jain_ratio(member_reputations, eps) \
-        * sigmoid(mean(member_reputations) / 10.0)
+def committee_bonus(member_reputations, base_bonus: float, eps: float) -> float:
+    """Bonus paid to each committee member: the base bonus scaled by the
+    fairness index over the committee's reputations (a list or an array).
+    Zero for an empty committee, whose ratio is 0."""
+    ratio, weight = jain_factors(member_reputations, eps)
+    return base_bonus * ratio * weight
 
 
 def allocate_rewards(pop: Population, committee: list[int], cfg: SystemConfig) -> np.ndarray:
@@ -72,7 +70,7 @@ def allocate_rewards(pop: Population, committee: list[int], cfg: SystemConfig) -
 
     members = np.zeros(n, dtype=bool)
     members[committee] = True
-    bonus = committee_bonus(pop.reputation[members].tolist(), cfg.committee_bonus, cfg.epsilon)
+    bonus = committee_bonus(pop.reputation[members], cfg.committee_bonus, cfg.epsilon)
 
     stake_share = effective_stake(pop.stake, mean_stake) / total_stake if total_stake > 0 \
         else np.zeros(n)

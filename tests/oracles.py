@@ -63,6 +63,20 @@ def sorted_sample(candidates, weights, count: int, rng) -> list:
     return [candidates[i] for i in np.lexsort((u, -keys))[:count]]
 
 
+def jain_ratio(values, eps: float) -> float:
+    """The Jain ratio (sum)^2 / (n * sum of squares + eps), both sums by
+    math.fsum. A largest magnitude in [2**-1048, 1) is first brought into
+    [0.5, 1) by math.ldexp of each value. The squares are numpy's, so one
+    that overflows warns as the library's does."""
+    vs = [float(v) for v in values]
+    peak = max(map(abs, vs), default=0.0)
+    if 2.0 ** -1048 <= peak < 1.0:
+        e = math.frexp(peak)[1]
+        vs = [math.ldexp(v, -e) for v in vs]
+    total = math.fsum(vs)
+    return total * total / (len(vs) * math.fsum(np.square(vs).tolist()) + eps)
+
+
 def penalty(reputation: float, stake: float, lambda_r: float, lambda_s: float) -> float:
     """Penalty amount, capped at half the reputation to avoid over-punishment."""
     return min(lambda_r * reputation + lambda_s * stake, reputation / 2.0)

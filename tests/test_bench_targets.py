@@ -39,6 +39,10 @@ def test_traced_run_calls_each_layer_once_per_round(monkeypatch):
     for name in ("engine.collect", "committee.select", "committee.cooldown", "detection.detect",
                  "detection.penalties", "reward.allocate"):
         assert per_name[name] == cfg.rounds, name
+    # the fairness spans: the engine's index over the rewards and
+    # allocate_rewards' over the reputations, and the engine's gini
+    assert per_name["metrics.jain"] == 2 * cfg.rounds
+    assert per_name["metrics.gini"] == cfg.rounds
     malicious = {nd.id for nd in result.nodes if nd.role is Role.MALICIOUS}
     flagged = [i for rec in result.records for i in rec.detected]
     assert any(i in malicious for i in flagged)

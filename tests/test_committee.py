@@ -231,7 +231,8 @@ def test_select_committee_visits_strata_as_a_loop_over_all_of_them():
     for n in (1, 2, 3, 5, 8, 12):
         for strata, committee_size in itertools.product(range(1, 4 * n + 1), range(1, n + 1)):
             draw = np.random.default_rng([n, strata, committee_size])
-            reputation = draw.choice([0.0, 1.0, 5.0, 50.0], n)
+            # -0.0 ties with 0.0, so the two must keep ascending id
+            reputation = draw.choice([0.0, -0.0, 1.0, 5.0, 50.0], n)
             cooldown = draw.integers(0, 3, n)
             cfg = dataclasses.replace(SystemConfig(), n_nodes=n, committee_size=committee_size,
                                       strata=strata)

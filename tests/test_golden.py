@@ -1,4 +1,4 @@
-"""Golden trace: the exact bytes `flmech simulate` writes for three pinned
+"""Golden trace: the exact bytes `flmech simulate` writes for four pinned
 runs, the `sweep.csv` and `sweep_summary.json` of one small `flmech sweep`,
 and the `contract.json` that `flmech contract-opt` writes for two configs.
 
@@ -48,6 +48,16 @@ GOLDEN = {
             "summary.json": "d04f012acbade23a894fb6dbc6405909b758e413a1ab187f9cb9fc0af6653fc4",
         },
     ),
+    # a full committee of 300 every round (n=1200, T=8): the committee bonus
+    # sums 300 reputations, above metrics.exact_sum's cutoff
+    "committee": (
+        ["--config", "{committee}"],
+        {
+            "rounds.csv": "02ec5a1fde904a0490948a830b6fc0a7255ed3889e5a23a5ba483efeaf7c3bb8",
+            "metrics.csv": "b87986ca644ecb46e0d18f2955a7ab56d4fbf38492c1deae2bb27fdf4a46b399",
+            "summary.json": "0fc45c6e142fbfa863af3d4a7f5bc80ccdfc7ae482f96679e6b127ce4f5d4167",
+        },
+    ),
 }
 
 
@@ -57,9 +67,12 @@ def test_simulate_output_matches_golden_hashes(name, tmp_path):
     cfg_path.write_text("n_nodes = 40\nrounds = 20\nseed = 11\n")
     wide_path = tmp_path / "wide.cfg"
     wide_path.write_text("n_nodes = 2000\nrounds = 8\n")
+    committee_path = tmp_path / "committee.cfg"
+    committee_path.write_text("n_nodes = 1200\ncommittee_size = 300\nrounds = 8\n")
     args, expected = GOLDEN[name]
     out = tmp_path / "out"
-    argv = ["simulate", *(a.format(cfg=cfg_path, wide=wide_path) for a in args),
+    argv = ["simulate", *(a.format(cfg=cfg_path, wide=wide_path, committee=committee_path)
+                          for a in args),
             "--out", str(out)]
     assert main(argv) == 0
     actual = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in expected}
@@ -111,8 +124,8 @@ def test_contract_opt_output_matches_golden_hash(name, tmp_path):
 # numpy's dispatch levels this host has, lowest first: numpy picks each
 # vector kernel for the highest level that is enabled
 HOST_LEVELS = [level for level in umath.__cpu_dispatch__ if umath.__cpu_features__.get(level)]
-# `wide` is the one golden above metrics.exact_sum's cutoff, whose extraction
-# sums by numpy's vector kernels
+# `wide` and `committee` are the goldens above metrics.exact_sum's cutoff,
+# whose extraction sums by numpy's vector kernels
 KERNEL_GOLDENS = [*(f"test_simulate_output_matches_golden_hashes[{name}]"
                     for name in sorted(GOLDEN)),
                   *(f"test_contract_opt_output_matches_golden_hash[{name}]"

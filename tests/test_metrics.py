@@ -1,4 +1,5 @@
-"""Exact sums, and fairness index and Gini coefficient identities and invariances."""
+"""Exact sums, the fairness index (the committee bonus's too), and Gini
+coefficient identities and invariances."""
 
 import math
 import struct
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from flmech.core import sigmoid
-from flmech.metrics import _EXTRACT_MIN, exact_sum, gini, jain_index, jain_ratio, mean
+from flmech.metrics import _EXTRACT_MIN, exact_sum, gini, jain_index, mean
+from flmech.reward import committee_bonus
+from oracles import jain_ratio
 
 positive_lists = st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30)
 
@@ -118,7 +121,9 @@ def sum_outcome(f, x):
 @example(x=np.full(2 * _EXTRACT_MIN, -0.0))
 @example(x=np.array([]))
 @example(x=np.append(np.linspace(0.5, 1.5, 600), 2.0 ** 900))
-# pairs that cancel over eight levels, so the sum is what the level cap leaves
+# pairs from 2**900 down to 2**550 that cancel exactly, over 600 values of 0.1:
+# extraction at the peak's scale leaves a residual whose bound dwarfs the
+# 0.1s, so the list goes to fsum whole
 @example(x=np.append(np.full(600, 0.1), 2.0 ** np.arange(900, 500, -50) * [[1], [-1]]))
 @example(x=np.full(_EXTRACT_MIN, sys.float_info.max))  # the sum overflows
 # the first level's residual sum 2**-53 sits on the midpoint after 1.0, and
@@ -130,8 +135,9 @@ def sum_outcome(f, x):
 @example(x=tie_within_rounding(40))
 # nonzero values that cancel to an exact zero, which no level may stop at
 @example(x=np.resize([0.1, 1e-20, -0.1, -1e-20], _EXTRACT_MIN))
-# a midpoint of 2**-900 pushed up by 2**-1074: the residuals go subnormal and
-# the third level's bound underflows to its n * 2**-1074 term
+# a midpoint of 2**-900 pushed up by 2**-1074, at the smallest peak that is
+# extracted: the residual 2**-953 + 2**-1074 rounds onto the midpoint, the
+# bound cannot tell its sides apart, and fsum of the whole list rounds up
 @example(x=np.append([2.0 ** -900, 2.0 ** -953, 2.0 ** -1074], np.zeros(_EXTRACT_MIN - 3)))
 def test_exact_sum_is_fsum_of_the_list(x):
     assert sum_outcome(exact_sum, x) == sum_outcome(lambda v: math.fsum(v.tolist()), x)
@@ -177,7 +183,8 @@ def test_list_and_array_give_identical_bits(values):
 
 
 def separately_summed_jain_index(values, eps=1e-8):
-    """jain_index as the ratio times the sigmoid of a mean summed on its own."""
+    """jain_index as the reference ratio times the sigmoid of a mean summed
+    on its own."""
     return jain_ratio(values, eps) * sigmoid(mean(values) / 10.0)
 
 
@@ -196,6 +203,53 @@ def test_jain_index_reuses_only_an_unscaled_total(values):
     # rescaled the values; the bits, or the error, must not change
     for v in (values, np.array(values, dtype=np.float64)):
         assert outcome(jain_index, v) == outcome(separately_summed_jain_index, v)
+
+
+# one committee member's reputation: in the engine's range, any finite float
+# (past 1.3e154 its square overflows), or below 1, where the ratio rescales
+MEMBER_VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=500.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.0 ** -1048]),
+)
+
+
+@st.composite
+def member_reputations(draw):
+    """Up to 300 reputations, past metrics.exact_sum's cutoff: drawn values
+    repeated to the length, some shifted so their peak lies in
+    [2**-1048, 1); as a list or an array."""
+    n = draw(st.integers(min_value=0, max_value=300))
+    values = np.resize(np.array(draw(st.lists(MEMBER_VALUES, min_size=1, max_size=20))), n)
+    peak = float(np.abs(values).max(initial=0.0))
+    if peak and draw(st.booleans()):
+        e = draw(st.integers(min_value=-1047, max_value=0))
+        values = np.ldexp(values, e - math.frexp(peak)[1])
+    return values if draw(st.booleans()) else values.tolist()
+
+
+def reference_bonus(values, base_bonus, eps):
+    """The base bonus times the reference ratio times the sigmoid of the
+    mean, multiplied left to right."""
+    m = math.fsum(values) / len(values) if len(values) else 0.0
+    return base_bonus * jain_ratio(values, eps) * sigmoid(m / 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=member_reputations(), base_bonus=st.floats(min_value=0.0, max_value=1e6),
+       eps=st.floats(min_value=1e-300, max_value=1.0))
+@example(values=[], base_bonus=40.0, eps=1e-8)
+@example(values=np.array([]), base_bonus=40.0, eps=1e-8)
+@example(values=[0.3, 0.1, 0.2], base_bonus=40.0, eps=1e-8)       # rescaled
+# B * (ratio * weight) would round this one differently
+@example(values=[250.0, 120.0, 333.0], base_bonus=40.0, eps=1e-8)
+@example(values=np.linspace(100.0, 500.0, 300), base_bonus=40.0, eps=1e-8)
+@example(values=[1e200, 3.0], base_bonus=40.0, eps=1e-8)          # the squares overflow
+@example(values=[1.5e308, 1.5e308], base_bonus=40.0, eps=1e-8)    # the total overflows
+def test_committee_bonus_is_base_times_ratio_times_weight(values, base_bonus, eps):
+    assert (outcome(lambda v: committee_bonus(v, base_bonus, eps), values)
+            == outcome(lambda v: reference_bonus(v, base_bonus, eps), values))
 
 
 def test_jain_equal_values():
