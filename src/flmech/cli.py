@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import committee
 from .contract import DegenerateContract, optimal_contract_closed_form, solve_constrained
 from .core import (
     _CONFIG_FIELDS, ConfigError, DomainError, Role, RoundRecord, SystemConfig, _format_schedule,
@@ -374,11 +373,8 @@ def cmd_verify(args) -> int:
                 except OverflowError:
                     implied_metrics[t] = []
             stake, stake_deducted = deduct_stakes(pop.stake, detected, cfg.stake_penalty_factor)
-            cooldown = committee.update_cooldowns(pop, members, cfg)
-            world.tally_round(pop.with_columns(reputation=rep, malicious=malicious, stake=stake,
-                                               total_reward=pop.total_reward + reward,
-                                               cooldown=cooldown),
-                              np.flatnonzero(detected).tolist(), stake_deducted)
+            world.tally_round(pop.with_columns(reputation=rep, malicious=malicious, stake=stake),
+                              members, reward, np.flatnonzero(detected).tolist(), stake_deducted)
         if in_order and finite_ok and rounds_rows == cfg.rounds * n:
             try:
                 recorded = json.loads((out_dir / "summary.json").read_text())

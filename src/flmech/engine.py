@@ -4,10 +4,11 @@ Each round: collect contributions, select the committee, (logically)
 aggregate, detect and penalize malicious behaviour or apply the reputation
 update, allocate rewards, compute fairness metrics, and emit an audit
 record. Node state is kept as columns (`core.Population`); each step reads
-columns and returns new arrays. `WorldState.tally_round` commits a round: it
-swaps in the new population and tallies the stake income once every step has
-succeeded, so a failure inside any step leaves the pre-round state in place.
-`flmech verify` commits the rounds it replays through the same call.
+columns and returns new arrays. `WorldState.tally_round` commits a round once
+every step has succeeded: it ticks the cooldowns, adds the rewards to the
+totals, swaps in the population and tallies the stake income, so a failing
+step leaves the pre-round state in place. `flmech verify` hands each whole
+round it replays to the same call.
 """
 
 from bisect import bisect_right
@@ -49,11 +50,15 @@ class WorldState:
     first_detected: dict[int, int] = field(default_factory=dict)
     records: list[RoundRecord] = field(default_factory=list)
 
-    def tally_round(self, nodes: Population, detected: list[int], stake_deducted: float) -> None:
-        """Commit finished round `t`: swap in its population `nodes`, tally the
-        node ids `detected` it flagged and the `stake_deducted` from their
+    def tally_round(self, nodes: Population, members: list[int] | np.ndarray, rewards: np.ndarray,
+                    detected: list[int], stake_deducted: float) -> None:
+        """Commit finished round `t`: swap in its population `nodes`, with the
+        committee `members` put on cooldown and `rewards` added to the totals,
+        tally the ids `detected` it flagged and the `stake_deducted` from their
         stakes, and advance `t`."""
-        self.nodes = nodes
+        self.nodes = nodes.with_columns(
+            cooldown=committee_mod.update_cooldowns(nodes, members, self.cfg),
+            total_reward=nodes.total_reward + rewards)
         self.stake_income += stake_deducted
         self.detected_per_round.append(len(detected))
         for node_id in detected:
@@ -134,9 +139,8 @@ def run_round(state: WorldState) -> RoundRecord:
     # (1) contributions
     pop, contributions, completion_times, timeouts = collect_contributions(state)
 
-    # (2) committee on pre-update reputations, then cooldown bookkeeping
+    # (2) committee on pre-update reputations; the commit puts it on cooldown
     selection = committee_mod.select_committee(pop, cfg, state.rng.stream("committee", t))
-    cooldown = committee_mod.update_cooldowns(pop, selection.members, cfg)
 
     # (3) committee performs aggregation: logical no-op, contribution scalars
     # stand in for model updates
@@ -151,9 +155,8 @@ def run_round(state: WorldState) -> RoundRecord:
     pop = pop.with_columns(reputation=np.where(report.flagged, penalized.reputation, updated),
                            stake=penalized.stake)
 
-    # (6) rewards on post-update reputations (no step reads the new cooldowns)
+    # (6) rewards on post-update reputations; the commit adds them to the totals
     rewards = reward_mod.allocate_rewards(pop, selection.members, cfg)
-    pop = pop.with_columns(cooldown=cooldown, total_reward=pop.total_reward + rewards)
 
     # (7) fairness metrics over this round's rewards
     jain = jain_index(rewards, cfg.epsilon)
@@ -176,7 +179,7 @@ def run_round(state: WorldState) -> RoundRecord:
         gini=g,
         total_paid=exact_sum(rewards),
     )
-    state.tally_round(pop, record.detected, penalized.stake_deducted)
+    state.tally_round(pop, selection.members, rewards, record.detected, penalized.stake_deducted)
     return record
 
 

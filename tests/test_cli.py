@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flmech import cli, engine
+from flmech import cli, committee, engine
 from flmech.cli import METRICS_COLUMNS, ROUNDS_COLUMNS, main
 from flmech.core import (
     ConfigError, Role, RoundRecord, SystemConfig, _format_schedule, _parse_value, config_to_dict,
@@ -411,13 +411,31 @@ def test_verify_commits_read_only_columns_each_round(fast_config, tmp_path, monk
     assert main(["simulate", "--config", str(fast_config), "--out", str(out)]) == 0
     tally_round, commits = engine.WorldState.tally_round, []
 
-    def checked(world, nodes, detected, stake_deducted):
-        tally_round(world, nodes, detected, stake_deducted)
+    def checked(world, nodes, members, rewards, detected, stake_deducted):
+        tally_round(world, nodes, members, rewards, detected, stake_deducted)
         commits.append([name for name, col in vars(world.nodes).items() if col.flags.writeable])
 
     monkeypatch.setattr(engine.WorldState, "tally_round", checked)
     assert main(["verify", "--out", str(out)]) == 0
     assert commits == [[]] * 12
+
+
+def test_each_command_ticks_the_cooldowns_only_in_the_round_commit(fast_config, tmp_path,
+                                                                   monkeypatch):
+    # simulate and verify put a round's committee on cooldown only through
+    # WorldState.tally_round, once a round
+    update_cooldowns, callers = committee.update_cooldowns, []
+
+    def recorded(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return update_cooldowns(*args)
+
+    monkeypatch.setattr(committee, "update_cooldowns", recorded)
+    out = tmp_path / "owner"
+    assert main(["simulate", "--config", str(fast_config), "--out", str(out)]) == 0
+    assert callers == ["tally_round"] * 12
+    assert main(["verify", "--out", str(out)]) == 0
+    assert callers == ["tally_round"] * 24
 
 
 def test_verify_detects_conservation_violation(fast_config, tmp_path, capsys):
@@ -627,6 +645,24 @@ def test_verify_truncated_csv_reports_corrupt(fast_config, tmp_path, capsys):
     rehash(out, "rounds.csv")
     assert main(["verify", "--out", str(out)]) == 1
     assert "corrupt file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, columns", [
+    ("rounds.csv", [*ROUNDS_COLUMNS[:-1], "flagged"]),
+    ("metrics.csv", METRICS_COLUMNS[:-1]),
+], ids=["rounds.csv column renamed", "metrics.csv column missing"])
+def test_verify_rejects_a_header_other_than_the_schema(fast_config, tmp_path, capsys, name,
+                                                       columns):
+    out = tmp_path / "hd"
+    main(["simulate", "--config", str(fast_config), "--out", str(out)])
+    lines = (out / name).read_text().splitlines(keepends=True)
+    (out / name).write_text(",".join(columns) + "\n" + "".join(lines[1:]))
+    rehash(out, name)
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    schema = ROUNDS_COLUMNS if name == "rounds.csv" else METRICS_COLUMNS
+    assert capsys.readouterr().err == (f"error: corrupt file (header is not {','.join(schema)}):"
+                                       f" {out / name}\n")
 
 
 def _swap(first, second):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flmech import metrics
+from flmech import committee, metrics, reward
 from flmech.core import RngStream, Role, SystemConfig, validate_config
 from flmech.engine import iter_rounds, new_world, run_round, run_simulation
 
@@ -130,8 +130,15 @@ def test_summary_tallies_match_records():
 
 
 def test_round_failing_mid_stream_leaves_state_unchanged(monkeypatch):
-    import flmech.engine as engine_mod
+    check_failing_round_leaves_state_unchanged(monkeypatch, reward, "allocate_rewards")
 
+
+def test_round_failing_in_its_commit_leaves_state_unchanged(monkeypatch):
+    # update_cooldowns runs inside tally_round, after every step has succeeded
+    check_failing_round_leaves_state_unchanged(monkeypatch, committee, "update_cooldowns")
+
+
+def check_failing_round_leaves_state_unchanged(monkeypatch, module, name):
     state = new_world(FAST, seed=3)
     stream = iter_rounds(state)
     for _ in range(5):
@@ -143,7 +150,7 @@ def test_round_failing_mid_stream_leaves_state_unchanged(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("injected failure")
 
-    monkeypatch.setattr(engine_mod.reward_mod, "allocate_rewards", boom)
+    monkeypatch.setattr(module, name, boom)
     with pytest.raises(RuntimeError, match="injected failure"):
         next(stream)
     assert (state.t, state.detected_per_round, state.first_detected,
@@ -159,6 +166,45 @@ def record_nodes(state):
     return [(nd.id, nd.stake, nd.reputation, nd.total_reward, nd.participation,
              nd.cooldown, tuple(nd.contribution_history))
             for nd in state.nodes]
+
+
+def test_run_round_past_the_last_round_raises_and_leaves_state_unchanged():
+    state = run_simulation(dataclasses.replace(FAST, rounds=3), seed=3)
+    nodes = state.nodes
+    before = (state.t, list(state.detected_per_round), dict(state.first_detected),
+              state.stake_income)
+    with pytest.raises(ValueError, match="round 3 out of range; run has 3 rounds"):
+        run_round(state)
+    assert state.nodes is nodes
+    assert (state.t, state.detected_per_round, state.first_detected,
+            state.stake_income) == before
+
+
+def test_tally_round_commits_cooldowns_rewards_and_tallies():
+    state = new_world(FAST, seed=3)
+    for _ in range(5):
+        run_round(state)
+    old, t, income = state.nodes, state.t, state.stake_income
+    counts, first = list(state.detected_per_round), dict(state.first_detected)
+    flagged_before = min(first)
+    fresh = next(i for i in range(FAST.n_nodes) if i not in first)
+    # some nodes sit on cooldown, some are off it, so both branches of the tick run
+    assert 0 < np.count_nonzero(old.cooldown) < FAST.n_nodes
+    members = [0, 7, 19]
+    rewards = np.linspace(0.0, 3.0, FAST.n_nodes)
+    nodes = old.with_columns(reputation=old.reputation / 2.0)
+    state.tally_round(nodes, members, rewards, [flagged_before, fresh], 1.25)
+
+    new = state.nodes
+    assert new.cooldown.tolist() == [FAST.cooldown_period if i in members else max(0, c - 1)
+                                     for i, c in enumerate(old.cooldown.tolist())]
+    assert np.array_equal(new.total_reward, old.total_reward + rewards)
+    assert new.reputation is nodes.reputation
+    assert state.stake_income == income + 1.25
+    assert state.detected_per_round == counts + [2]
+    assert state.first_detected == {**first, fresh: t}
+    assert state.t == t + 1
+    assert not [name for name, col in vars(new).items() if col.flags.writeable]
 
 
 def test_participation_monotone_and_counts_positive_contributions():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from flmech.core import sigmoid
-from flmech.metrics import _EXTRACT_MIN, exact_sum, gini, jain_index, mean
+from flmech.metrics import _EXTRACT_MIN, exact_sum, gini, jain_index, mean, pstd
 from flmech.reward import committee_bonus
 from oracles import jain_ratio
 
@@ -27,6 +27,8 @@ def assume_exact_scaling(values, scale):
 def test_mean_of_array():
     assert mean(np.array([1.0, 2.0])) == 1.5
     assert mean(np.array([])) == 0.0
+    assert pstd(np.array([1.0, 3.0])) == 1.0
+    assert pstd([]) == 0.0
 
 
 # one value of each kind exact_sum must add as fsum does: the kernels' column

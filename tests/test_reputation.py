@@ -6,11 +6,12 @@ Frozen expected values are independent evaluations of the defining formulas
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flmech.core import DomainError, Node, SystemConfig
-from flmech.reputation import decay_factor, quality, stability, update_reputation
+from flmech.reputation import decay_factor, qualities, quality, stability, update_reputation
 
 CFG = SystemConfig()
 
@@ -30,6 +31,9 @@ def test_quality_reference_values():
 def test_quality_rejects_empty_range():
     with pytest.raises(DomainError):
         quality(1.0, 5.0, 5.0)
+    for c_max in [5.0, 4.0]:
+        with pytest.raises(DomainError, match="c_max must exceed c_min"):
+            qualities(np.array([1.0, 6.0]), 5.0, c_max)
 
 
 def test_decay_factor_values():
