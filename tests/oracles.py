@@ -4,7 +4,9 @@ The library computes every round step as numpy columns over a
 `Population`. Here the same quantities are defined one node at a time, in
 plain floats: `test_kernels.py` holds each column kernel to its scalar form,
 and `test_oracles.py` holds the engine's wiring to `reference_round`, which
-runs a whole round from the scalar forms over a `list[Node]`.
+runs a whole round from the scalar forms over a `list[Node]`. The contract
+grid oracle's reference, `grid_oracle_every_row`, searches every grid row
+where the library prunes them; `test_contract.py` holds the two equal.
 
 What is compared exactly and what to a tolerance follows the README's
 "Determinism" section: a node's window mean and std are numpy reductions in
@@ -21,6 +23,7 @@ import numpy as np
 
 from flmech.behavior import sample_contributions
 from flmech.committee import select_committee
+from flmech.contract import reward_slope
 from flmech.core import Node, Population, Role, RoundRecord
 from flmech.engine import WorldState
 from flmech.metrics import gini, jain_index, mean, pstd
@@ -241,3 +244,22 @@ def reference_round(state: WorldState,
         penalties=np.array(penalties), rewards=np.array(rewards), detected=detected,
         timeouts=timeouts, jain_fairness=jain_index(rewards, cfg.epsilon), gini=gini(rewards),
         total_paid=math.fsum(rewards))
+
+
+def grid_oracle_every_row(cfg, ctx, c_bounds, r_bounds, points_per_axis=2001):
+    """`contract.grid_oracle` without its prune: every grid C is priced at the
+    first grid R >= cost(C) by one searchsorted over all the rows, and the
+    first maximum in row order wins. Same returns, same rounding."""
+    cs = np.linspace(c_bounds[0], c_bounds[1], points_per_axis)
+    rs = np.linspace(r_bounds[0], r_bounds[1], points_per_axis)
+    scale, span = cfg.contribution_bonus / ctx.tau_time, cfg.c_max - cfg.c_min
+    values = scale / (1.0 + np.exp(-(cs - cfg.c_min) / span))
+    costs = 0.5 * cfg.gamma_c * cs ** 2
+    slope = reward_slope(cfg, ctx)
+    j = np.searchsorted(rs, costs)
+    feasible = j < points_per_axis
+    j = np.where(feasible, j, 0)        # an infeasible row reports R[0] with profit -inf
+    i = int(np.argmax(np.where(feasible, (values - slope * cs + costs) - rs[j], -np.inf)))
+    c, r = float(cs[i]), float(rs[j[i]])
+    value = scale / (1.0 + math.exp(-(c - cfg.c_min) / span))
+    return c, r, ((value - slope * c) + float(costs[i])) - r if feasible[i] else -math.inf

@@ -7,7 +7,7 @@ import dataclasses
 import importlib
 from pathlib import Path
 
-from flmech import engine
+from flmech import contract, engine
 from flmech.core import Role, SystemConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +48,20 @@ def test_traced_run_calls_each_layer_once_per_round(monkeypatch):
     assert any(i in malicious for i in flagged)
     assert tracer.counts[0]["detection.flagged"] == len(flagged)
     assert tracer.counts[0]["detection.flagged_malicious"] == sum(i in malicious for i in flagged)
+
+
+def test_traced_solve_calls_the_grid_oracle_once_per_solve(monkeypatch):
+    # contract.grid_oracle_s times the oracle through its module global, so
+    # an oracle inlined into solve_constrained would read 0 there
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spans = importlib.import_module("spans")
+    configs = [SystemConfig(), dataclasses.replace(SystemConfig(), reward_pool=1800.0)]
+    tracer = spans.Tracer()
+    tracer.begin_run()
+    with tracer.installed():
+        for cfg in configs:
+            contract.solve_constrained(cfg)
+    _, _, calls = tracer.self_times()
+    per_name = dict(zip(tracer.names, calls[0].tolist()))
+    assert per_name["contract.solve"] == len(configs)
+    assert per_name["contract.grid_oracle"] == len(configs)

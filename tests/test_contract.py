@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flmech.contract import (
     ContractContext, DegenerateContract, contribution_value, default_contract_context,
@@ -18,6 +18,7 @@ from flmech.contract import (
     reward_slope, solve_constrained,
 )
 from flmech.core import DomainError, SystemConfig, sigmoid
+from oracles import grid_oracle_every_row
 
 CFG = SystemConfig()
 
@@ -207,7 +208,7 @@ def _grid_oracle_2d(cfg, ctx, c_bounds, r_bounds, points_per_axis=2001):
 
 
 @st.composite
-def oracle_cases(draw):
+def oracle_configs(draw):
     cfg = dataclasses.replace(
         CFG,
         reward_pool=draw(st.floats(50.0, 3000.0)),
@@ -217,7 +218,12 @@ def oracle_cases(draw):
         contribution_bonus=draw(st.floats(1.0, 200.0)),
     )
     c_lo = draw(st.floats(0.0, 10.0))
-    c_bounds = (c_lo, c_lo + draw(st.floats(0.0, 10.0)))
+    return cfg, (c_lo, c_lo + draw(st.floats(0.0, 10.0)))
+
+
+@st.composite
+def oracle_cases(draw):
+    cfg, c_bounds = draw(oracle_configs())
     cost_hi = 0.5 * cfg.gamma_c * c_bounds[1] ** 2
     # r_hi from well below to well above the largest cost, so that some or
     # all rows have no feasible R; r_lo at or below r_hi
@@ -243,6 +249,62 @@ def test_grid_oracle_all_rows_infeasible():
     result = grid_oracle(CFG, ctx, (1.0, 2.0), (0.0, 0.1), 11)
     assert result == (1.0, 0.0, -math.inf)
     assert result == _grid_oracle_2d(CFG, ctx, (1.0, 2.0), (0.0, 0.1), 11)
+
+
+@st.composite
+def solver_grids(draw):
+    # the grid solve_constrained asks for: R in [0, 2 * cost(max C)]
+    cfg, c_bounds = draw(oracle_configs())
+    return cfg, c_bounds, (0.0, 2.0 * effort_cost(c_bounds[1], cfg.gamma_c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=solver_grids())
+# one C: every row ties, and the ties must survive the prune
+@example(case=(CFG, (4.0, 4.0), (0.0, 50.0)))
+# one R: the step is zero and each row's R is R[0] or none
+@example(case=(CFG, (0.0, 10.0), (10.0, 10.0)))
+# R below every cost of C in [1, 10]
+@example(case=(CFG, (1.0, 10.0), (0.0, 0.1)))
+# the interior optimum, where the prune keeps the most rows
+@example(case=(dataclasses.replace(CFG, reward_pool=1800.0), (0.0, 10.0), (0.0, 50.0)))
+def test_grid_oracle_equals_every_row_search(case):
+    # the prune only skips rows whose bound lies below a priced row's
+    # profit, so the tuple is the every-row search's, bit for bit
+    cfg, c_bounds, r_bounds = case
+    ctx = default_contract_context(cfg)
+    assert grid_oracle(cfg, ctx, c_bounds, r_bounds) == \
+        grid_oracle_every_row(cfg, ctx, c_bounds, r_bounds)
+
+
+def test_grid_oracle_equals_every_row_search_on_nan_profits():
+    # a NaN fairness makes every row's profit NaN: no bound is below the
+    # NaN price, so no feasible row is pruned (the rows with C above
+    # sqrt(80) have no R), and the first row wins as in the every-row search
+    ctx = dataclasses.replace(default_contract_context(CFG), fairness=math.nan)
+    c, r, profit = grid_oracle(CFG, ctx, (0.0, 10.0), (0.0, 20.0))
+    every_c, every_r, every_profit = grid_oracle_every_row(CFG, ctx, (0.0, 10.0), (0.0, 20.0))
+    assert (c, r) == (every_c, every_r) == (0.0, 0.0)
+    assert math.isnan(profit) and math.isnan(every_profit)
+
+
+@pytest.mark.parametrize("c_bounds, r_bounds, points", [
+    ((0.0, 10.0), (50.0, 0.0), 101),
+    ((0.0, 10.0), (0.0, 50.0), 0),
+    ((0.0, 10.0), (0.0, 50.0), -1),
+    ((0.0, 10.0), (0.0, math.nan), 101),
+    ((0.0, 10.0), (math.nan, 50.0), 101),
+    ((0.0, math.inf), (0.0, 50.0), 101),
+    ((-math.inf, 10.0), (0.0, 50.0), 101),
+    ((0.0, 10.0), (0.0, math.inf), 101),
+    ((math.nan, 10.0), (0.0, 50.0), 101),
+], ids=["R descending", "no points", "negative points", "R hi NaN", "R lo NaN", "C hi inf",
+        "C lo -inf", "R hi inf", "C lo NaN"])
+def test_grid_oracle_rejects_a_grid_it_cannot_search(c_bounds, r_bounds, points):
+    # a descending R axis once returned (10.0, 50.0, 4.35) where the grid's
+    # optimum is (10.0, 25.0, 29.35), and no points ended in numpy's argmax
+    with pytest.raises(DomainError):
+        grid_oracle(CFG, default_contract_context(CFG), c_bounds, r_bounds, points)
 
 
 def test_closed_form_agrees_with_solver():
